@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,14 +123,7 @@ func netBench(addr string, workers int, dur, dialTimeout time.Duration, scrapeUR
 		enqs.Load(), deqs.Load(), empties.Load(), drained)
 	fmt.Printf("  throughput: %.0f ops/s\n", float64(ops)/elapsed.Seconds())
 	snap := probe.Snapshot()
-	for op := 0; op < metrics.NumOps; op++ {
-		l := snap.Latency[op]
-		if l.Count == 0 {
-			continue
-		}
-		fmt.Printf("  %s round-trip: p50=%v p90=%v p99=%v max<=%v\n",
-			metrics.Op(op), l.Quantile(0.50), l.Quantile(0.90), l.Quantile(0.99), l.Quantile(1))
-	}
+	snap.WriteLatency(os.Stdout, "  ", "round-trip")
 	if !quiet {
 		counters, err := c.Stats()
 		if err != nil {

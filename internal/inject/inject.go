@@ -268,9 +268,27 @@ func (g *NthGate) Release() {
 // which is why the adversary is a stress mode rather than a deterministic
 // replayer.
 type Delay struct {
-	state     atomic.Uint64
+	state     Stream
 	threshold uint64 // stall when draw < threshold
 	maxYields uint64
+}
+
+// Stream is a splitmix64 stream safe for concurrent use: each Next is one
+// atomic add on the shared state plus the output mix, so the draw
+// *sequence* is a pure function of the seed and only its assignment to
+// callers depends on scheduling. The embedded counter is the state: Store
+// seeds the stream, Load reads its position.
+type Stream struct{ atomic.Uint64 }
+
+// Next returns the stream's next draw.
+func (s *Stream) Next() uint64 {
+	x := s.Add(0x9e3779b97f4a7c15)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // NewDelay returns a delay adversary that stalls with the given probability
@@ -293,16 +311,11 @@ func NewDelay(seed int64, prob float64, maxYields int) *Delay {
 	return d
 }
 
-// At implements Tracer. It is safe for concurrent use: the draw is one
-// atomic add on shared state (splitmix64), so the decision *sequence* is a
-// pure function of the seed.
+// At implements Tracer. It is safe for concurrent use: each visit takes one
+// draw from the seeded Stream, so the decision *sequence* is a pure
+// function of the seed.
 func (d *Delay) At(Point) {
-	x := d.state.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := d.state.Next()
 	if x >= d.threshold {
 		return
 	}

@@ -29,6 +29,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -440,13 +441,19 @@ func (s *Snapshot) Report(ops int64) string {
 		}
 	}
 
+	s.WriteLatency(&b, "", "latency")
+	return b.String()
+}
+
+// WriteLatency writes one line per op type with observations:
+// "<indent><op> <label>: n=… p50=… p90=… p99=… max<=…".
+func (s *Snapshot) WriteLatency(w io.Writer, indent, label string) {
 	for op := 0; op < NumOps; op++ {
 		l := s.Latency[op]
 		if l.Count == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%s latency: n=%d p50=%v p90=%v p99=%v max<=%v\n",
-			Op(op), l.Count, l.Quantile(0.50), l.Quantile(0.90), l.Quantile(0.99), l.Quantile(1))
+		fmt.Fprintf(w, "%s%s %s: n=%d p50=%v p90=%v p99=%v max<=%v\n",
+			indent, Op(op), label, l.Count, l.Quantile(0.50), l.Quantile(0.90), l.Quantile(0.99), l.Quantile(1))
 	}
-	return b.String()
 }

@@ -40,8 +40,8 @@
 //
 // Every decision — whether an operation draws a fault, which class,
 // where a write is torn, which byte corrupts, how long a delay lasts —
-// comes from one splitmix64 stream seeded by Config.Seed, the same
-// replay discipline as internal/chaos and inject.Delay: the decision
+// comes from one inject.Stream (splitmix64) seeded by Config.Seed, the
+// stream inject.Delay draws from too: the decision
 // *sequence* is a pure function of the seed, and the concurrent
 // interleaving only assigns decisions to operations. A failing sweep
 // prints its seed; rerunning with it replays the same fault stream.
@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"msqueue/internal/inject"
 	"msqueue/internal/metrics"
 )
 
@@ -139,7 +140,7 @@ const defaultMaxLatency = 2 * time.Millisecond
 // for concurrent use.
 type Injector struct {
 	cfg       Config
-	state     atomic.Uint64
+	stream    inject.Stream
 	enabled   atomic.Bool
 	counts    [NumFaults]atomic.Int64
 	threshold [NumFaults]uint64 // cumulative rate thresholds on the uint64 draw
@@ -155,7 +156,7 @@ func New(cfg Config) *Injector {
 		cfg.MaxLatency = defaultMaxLatency
 	}
 	in := &Injector{cfg: cfg}
-	in.state.Store(uint64(cfg.Seed))
+	in.stream.Store(uint64(cfg.Seed))
 	// Thresholds live on a 32-bit lattice compared against the draw's top
 	// 32 bits: acc == 1 maps to exactly 1<<32 (always hit), avoiding the
 	// undefined float→uint64 conversion at the top of the 64-bit range.
@@ -199,25 +200,12 @@ func (in *Injector) Total() int64 {
 	return t
 }
 
-// next advances the splitmix64 stream: one atomic add, then the output
-// mix, so the draw sequence is a pure function of the seed (the same
-// construction as inject.Delay).
-func (in *Injector) next() uint64 {
-	x := in.state.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // draw decides the fault for one operation and tallies it.
 func (in *Injector) draw() Fault {
 	if !in.enabled.Load() {
 		return None
 	}
-	x := in.next() >> 32
+	x := in.stream.Next() >> 32
 	for f := 1; f < NumFaults; f++ {
 		if in.cfg.Rates[f] > 0 && x < in.threshold[f] {
 			in.counts[f].Add(1)
@@ -233,7 +221,7 @@ func (in *Injector) jitter(max time.Duration) time.Duration {
 	if max <= 0 {
 		return 0
 	}
-	return time.Duration(in.next()%uint64(max)) + 1
+	return time.Duration(in.stream.Next()%uint64(max)) + 1
 }
 
 func (in *Injector) logf(format string, args ...any) {
@@ -402,7 +390,7 @@ func (c *conn) Write(b []byte) (int, error) {
 		// torn at a fault-chosen byte and the remainder never arrives.
 		k := 0
 		if len(b) > 1 {
-			k = 1 + int(c.in.next()%uint64(len(b)-1))
+			k = 1 + int(c.in.stream.Next()%uint64(len(b)-1))
 		}
 		c.in.logf("netchaos: mid-frame reset after %d/%d bytes (%v)", k, len(b), c.RemoteAddr())
 		n, _ := c.Conn.Write(b[:k])
@@ -413,7 +401,7 @@ func (c *conn) Write(b []byte) (int, error) {
 		// Split the buffer and pause between the halves, long enough for
 		// the far reader to wake up on the partial frame.
 		if len(b) > 1 {
-			k := 1 + int(c.in.next()%uint64(len(b)-1))
+			k := 1 + int(c.in.stream.Next()%uint64(len(b)-1))
 			n1, err := c.Conn.Write(b[:k])
 			if err != nil {
 				return n1, err
@@ -429,8 +417,8 @@ func (c *conn) Write(b []byte) (int, error) {
 		cp := make([]byte, len(b))
 		copy(cp, b)
 		if len(cp) > 0 {
-			i := int(c.in.next() % uint64(len(cp)))
-			mask := byte(c.in.next())
+			i := int(c.in.stream.Next() % uint64(len(cp)))
+			mask := byte(c.in.stream.Next())
 			if mask == 0 {
 				mask = 0x80
 			}

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -456,6 +457,13 @@ func (s *Server) dequeueOne() (int64, bool) {
 	return int64(v), true
 }
 
+// dequeueChunk bounds the scratch one DEQ_BATCH request allocates before
+// it knows how many values exist, so a 9-byte request for wire.MaxBatch
+// against an empty queue cannot cost the server 512 KiB.
+const dequeueChunk = 256
+
+// dequeueBatch removes up to max values, a chunk at a time, stopping at the
+// first short chunk; the result grows only as values arrive.
 func (s *Server) dequeueBatch(max int) []int64 {
 	if max <= 0 {
 		return nil
@@ -464,31 +472,43 @@ func (s *Server) dequeueBatch(max int) []int64 {
 		max = wire.MaxBatch
 	}
 	start := s.now()
-	var n int
-	ints := make([]int, max)
-	if s.batcher != nil {
-		n = s.batcher.DequeueBatch(ints)
-	} else {
-		for n < max {
-			v, ok := s.cfg.Queue.Dequeue()
-			if !ok {
-				break
-			}
-			ints[n] = v
-			n++
+	ints := make([]int, min(max, dequeueChunk))
+	var vs []int64
+	for len(vs) < max {
+		chunk := ints[:min(max-len(vs), len(ints))]
+		n := s.dequeueInto(chunk)
+		vs = slices.Grow(vs, n)
+		for _, v := range chunk[:n] {
+			vs = append(vs, int64(v))
+		}
+		if n < len(chunk) {
+			break
 		}
 	}
-	if n == 0 {
+	if len(vs) == 0 {
 		s.empties.Add(1)
 		s.cfg.Probe.Add(metrics.WireEmpty, 1)
 		return nil
 	}
 	s.observe(metrics.Dequeue, start)
-	vs := make([]int64, n)
-	for i := 0; i < n; i++ {
-		vs[i] = int64(ints[i])
-	}
 	return vs
+}
+
+// dequeueInto fills a prefix of dst from the queue and returns its length.
+func (s *Server) dequeueInto(dst []int) int {
+	if s.batcher != nil {
+		return s.batcher.DequeueBatch(dst)
+	}
+	n := 0
+	for n < len(dst) {
+		v, ok := s.cfg.Queue.Dequeue()
+		if !ok {
+			break
+		}
+		dst[n] = v
+		n++
+	}
+	return n
 }
 
 func (s *Server) settleDequeued(n int) {

@@ -5,11 +5,13 @@ import (
 	"context"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"msqueue/internal/core"
 	"msqueue/internal/metrics"
+	"msqueue/internal/queue"
 	"msqueue/internal/ring"
 	"msqueue/internal/telemetry"
 	"msqueue/internal/wire"
@@ -224,6 +226,45 @@ func testBatchFrames(t *testing.T, s *Server, capacity int) {
 	for i, v := range got {
 		if v != int64(i+1) {
 			t.Fatalf("batch dequeue order: got[%d] = %d, want %d", i, v, i+1)
+		}
+	}
+}
+
+// TestDeqBatchMemoryBounded: a DEQ_BATCH for wire.MaxBatch values costs
+// the server memory in proportion to the values that exist, not to the
+// count the 9-byte request names; a multi-chunk batch still arrives whole
+// and in order.
+func TestDeqBatchMemoryBounded(t *testing.T) {
+	for _, q := range []queue.Queue[int]{ring.New[int](1024), core.NewMS[int]()} {
+		s := New(Config{Queue: q})
+		c := &connState{}
+		req := wire.DeqBatchFrame(1, wire.MaxBatch)
+		const runs = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if resp, _ := s.handle(c, req); resp.frame.Type != wire.Empty {
+				t.Fatalf("%T: deq batch on empty = %v, want EMPTY", q, resp.frame.Type)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 8<<10 {
+			t.Fatalf("%T: DEQ_BATCH(%d) on an empty queue allocated %d B, want < 8 KiB", q, wire.MaxBatch, per)
+		}
+
+		const n = 3*dequeueChunk + 5
+		for v := 0; v < n; v++ {
+			q.Enqueue(v)
+		}
+		resp, _ := s.handle(c, req)
+		vs, err := wire.DecodeValues(resp.frame.Payload)
+		if err != nil || len(vs) != n {
+			t.Fatalf("%T: deq batch returned %d values, %v; want %d", q, len(vs), err, n)
+		}
+		for i, v := range vs {
+			if v != int64(i) {
+				t.Fatalf("%T: vs[%d] = %d, want %d", q, i, v, i)
+			}
 		}
 	}
 }
