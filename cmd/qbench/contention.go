@@ -3,25 +3,26 @@ package main
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"msqueue/internal/core"
-	"msqueue/internal/inject"
+	"msqueue/internal/metrics"
 )
 
 // contentionExperiment quantifies the retry behaviour behind the paper's
 // liveness argument (section 3.3): an MS operation loops only when another
-// process completed an operation in the meantime. Using the trace points of
-// the tagged queue it counts how many times the enqueue loop re-read Tail
-// (line E5) and the dequeue loop re-read Head (line D2) per completed
-// operation; values above 1.0 are retries caused by contention.
+// process completed an operation in the meantime. It reports how many
+// times the enqueue loop read Tail (line E5) and the dequeue loop read Head
+// (line D2) per completed operation; values above 1.0 are retries caused by
+// contention. Every extra pass of the tagged queue's loops is counted by
+// its probe at exactly one site (E7, E9 or E12 for enqueue; D5, D9 or D12
+// for dequeue), so reads per operation = 1 + those sites' sum / ops.
 func contentionExperiment(pairs int) error {
 	fmt.Println("MS queue retry profile (loop iterations per completed operation)")
 	fmt.Println("procs  E5-reads/enqueue  D2-reads/dequeue")
 	for _, procs := range []int{1, 2, 4, 8, 16} {
 		q := core.NewMSTagged(4096)
-		var counts retryCounts
-		q.SetTracer(&counts)
+		probe := metrics.NewProbe()
+		q.SetProbe(probe)
 
 		perProc := pairs / procs
 		if perProc == 0 {
@@ -40,31 +41,21 @@ func contentionExperiment(pairs int) error {
 		}
 		wg.Wait()
 
-		ops := int64(procs * perProc)
+		ops := float64(procs * perProc)
+		passes := func(sites ...metrics.Site) float64 {
+			var n int64
+			for _, s := range sites {
+				n += probe.Site(s)
+			}
+			return 1 + float64(n)/ops
+		}
 		fmt.Printf("%5d  %16.3f  %16.3f\n",
 			procs,
-			float64(counts.e5.Load())/float64(ops),
-			float64(counts.d2.Load())/float64(ops))
+			passes(metrics.EnqueueInconsistent, metrics.EnqueueLinkCAS, metrics.EnqueueTailSwing),
+			passes(metrics.DequeueInconsistent, metrics.DequeueTailSwing, metrics.DequeueHeadCAS))
 	}
 	fmt.Println("\n1.000 means no retries; the excess is the CAS-failure rate the")
 	fmt.Println("backoff and helping paths absorb. Each retry implies another")
 	fmt.Println("process completed an operation (the non-blocking argument).")
 	return nil
-}
-
-// retryCounts is a lock-free tracer: a mutex here would serialise the very
-// contention being measured.
-type retryCounts struct {
-	e5 atomic.Int64
-	d2 atomic.Int64
-}
-
-// At implements inject.Tracer.
-func (c *retryCounts) At(p inject.Point) {
-	switch p {
-	case core.PointE5ReadTail:
-		c.e5.Add(1)
-	case core.PointD2ReadHead:
-		c.d2.Add(1)
-	}
 }

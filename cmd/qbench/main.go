@@ -61,7 +61,7 @@ func run(args []string) error {
 		quiet      = fs.Bool("quiet", false, "suppress per-point progress lines")
 		netAddr    = fs.String("net", "", "benchmark a running qserve at this address instead of in-process queues")
 		dur        = fs.Duration("dur", 3*time.Second, "duration of the -net load run")
-		dialTO     = fs.Duration("dialtimeout", 5*time.Second, "bound each -net dial attempt (0 = unbounded)")
+		dialTO     = fs.Duration("dialtimeout", 5*time.Second, "bound each -net dial attempt and each -scrape request (0 = unbounded)")
 		scrapeURL  = fs.String("scrape", "", "with -net: a qserve /metrics URL to scrape before and after the run; prints the server-side counter deltas and rates")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -27,7 +27,7 @@ func netBench(addr string, workers int, dur, dialTimeout time.Duration, scrapeUR
 	scrapeStart := time.Now()
 	if scrapeURL != "" {
 		var err error
-		if scrapeBefore, err = scrape(scrapeURL); err != nil {
+		if scrapeBefore, err = scrape(scrapeURL, dialTimeout); err != nil {
 			return err
 		}
 	}
@@ -133,11 +133,11 @@ func netBench(addr string, workers int, dur, dialTimeout time.Duration, scrapeUR
 			counters.Enqueued, counters.Dequeued, counters.Empties, counters.Retries, counters.Conns)
 	}
 	if scrapeURL != "" {
-		scrapeAfter, err := scrape(scrapeURL)
+		scrapeAfter, err := scrape(scrapeURL, dialTimeout)
 		if err != nil {
 			return err
 		}
-		printScrapeDelta(scrapeBefore, scrapeAfter, time.Since(scrapeStart))
+		printScrapeDelta(os.Stdout, scrapeBefore, scrapeAfter, time.Since(scrapeStart))
 	}
 	return nil
 }

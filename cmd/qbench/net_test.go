@@ -44,7 +44,7 @@ func TestNetBenchWithScrape(t *testing.T) {
 	if err := netBench(addr, 2, 100*time.Millisecond, time.Second, admin.URL+"/metrics", true); err != nil {
 		t.Fatalf("netBench with scrape: %v", err)
 	}
-	if _, err := scrape(admin.URL + "/nosuch"); err == nil {
+	if _, err := scrape(admin.URL+"/nosuch", time.Second); err == nil {
 		t.Fatal("scrape of a 404 endpoint should fail")
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -14,8 +15,10 @@ import (
 // and returns the parsed series. The client side of the exporter loop:
 // qbench drives load over the wire protocol while reading the server's
 // own view of that load over HTTP, so the two accounts can be compared.
-func scrape(url string) (map[string]float64, error) {
-	resp, err := http.Get(url)
+// timeout bounds the whole request (0 = unbounded), so an admin plane that
+// accepts the connection but never answers cannot wedge the load generator.
+func scrape(url string, timeout time.Duration) (map[string]float64, error) {
+	resp, err := (&http.Client{Timeout: timeout}).Get(url)
 	if err != nil {
 		return nil, fmt.Errorf("scrape %s: %w", url, err)
 	}
@@ -35,32 +38,32 @@ func scrape(url string) (map[string]float64, error) {
 // moved, gauges as before → after. Counters that went backwards (a
 // server restart between scrapes) are flagged rather than shown as
 // garbage negatives.
-func printScrapeDelta(before, after map[string]float64, elapsed time.Duration) {
+func printScrapeDelta(w io.Writer, before, after map[string]float64, elapsed time.Duration) {
 	names := make([]string, 0, len(after))
 	for name := range after {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	fmt.Printf("server-side deltas over %v (via -scrape):\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "server-side deltas over %v (via -scrape):\n", elapsed.Round(time.Millisecond))
 	for _, name := range names {
 		b, a := before[name], after[name]
 		switch {
 		case strings.HasSuffix(name, "_total"):
 			d := a - b
 			if d < 0 {
-				fmt.Printf("  %-40s counter went backwards (%g -> %g): server restarted?\n", name, b, a)
+				fmt.Fprintf(w, "  %-40s counter went backwards (%g -> %g): server restarted?\n", name, b, a)
 				continue
 			}
 			if d == 0 {
 				continue
 			}
-			fmt.Printf("  %-40s +%-10.0f %.0f/s\n", name, d, d/elapsed.Seconds())
+			fmt.Fprintf(w, "  %-40s +%-10.0f %.0f/s\n", name, d, d/elapsed.Seconds())
 		case name == "server_backlog" || name == "server_open_conns" || name == "server_draining":
 			if a != b {
-				fmt.Printf("  %-40s %g -> %g\n", name, b, a)
+				fmt.Fprintf(w, "  %-40s %g -> %g\n", name, b, a)
 			}
 		}
 	}
-	fmt.Printf("  %-40s %g\n", "server_backlog (after)", after["server_backlog"])
+	fmt.Fprintf(w, "  %-40s %g\n", "server_backlog (after)", after["server_backlog"])
 }

@@ -63,6 +63,46 @@ func TestProbeCountsLaggingTailHelp(t *testing.T) {
 	})
 }
 
+// TestMSTaggedProbeCountsEveryLoopPass pins the identity qbench's retry
+// profile rests on: every pass of MSTagged's enqueue loop after the first
+// is counted at exactly one probe site (E7, E9 or E12), and likewise for
+// dequeue (D5, D9 or D12). So the E5 and D2 reads a tracer sees equal the
+// operation count plus the probe's site sum, at every level of contention.
+func TestMSTaggedProbeCountsEveryLoopPass(t *testing.T) {
+	const perWorker = 5000
+	for _, workers := range []int{1, 2, 4, 8} {
+		q := NewMSTagged(1024)
+		reads := &inject.Counter{}
+		q.SetTracer(reads)
+		p := metrics.NewProbe()
+		q.SetProbe(p)
+
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					q.Enqueue(uint64(w*perWorker + i))
+					q.Dequeue()
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		ops := int64(workers * perWorker) // enqueues, and also dequeue calls
+		enq := ops + p.Site(metrics.EnqueueInconsistent) + p.Site(metrics.EnqueueLinkCAS) + p.Site(metrics.EnqueueTailSwing)
+		deq := ops + p.Site(metrics.DequeueInconsistent) + p.Site(metrics.DequeueTailSwing) + p.Site(metrics.DequeueHeadCAS)
+		t.Logf("workers=%d: %d ops, %d enqueue loop passes, %d dequeue loop passes", workers, ops, enq, deq)
+		if got := int64(reads.Count(PointE5ReadTail)); got != enq {
+			t.Errorf("workers=%d: E5 reads = %d, enqueues + enqueue-site sum = %d", workers, got, enq)
+		}
+		if got := int64(reads.Count(PointD2ReadHead)); got != deq {
+			t.Errorf("workers=%d: D2 reads = %d, dequeues + dequeue-site sum = %d", workers, got, deq)
+		}
+	}
+}
+
 // TestProbedQueueConcurrentReaders exercises every instrumented path of
 // both MS variants while snapshot readers run concurrently; under -race
 // this verifies the probe's counters and histograms are safely published.

@@ -20,22 +20,22 @@ import "fmt"
 type locKind uint8
 
 const (
-	lkHead   locKind = iota + 1 // the queue's Head word
-	lkTail                      // the queue's Tail word
-	lkNext                      // a node's next word (idx = node)
-	lkValue                     // a node's value cell (idx = node)
-	lkRefct                     // a node's Valois reference counter (idx = node)
-	lkFree                      // the free-list (one location: pop and push are single events)
-	lkHLock                     // the two-lock machine's head lock
-	lkTLock                     // the two-lock machine's tail lock
-	lkHist                      // the history: invokes read it, returns write it
-	lkEpGlobal                  // the epoch domain's global epoch word
-	lkEpPin                     // a participant's pin word (idx = process)
-	lkEpLimbo                   // a participant's limbo buckets (idx = process)
-	lkRHead                     // the ring's head reservation counter
-	lkRTail                     // the ring's tail reservation counter
-	lkRThresh                   // the ring's threshold counter
-	lkRSlot                     // a ring slot word (idx = slot)
+	lkHead     locKind = iota + 1 // the queue's Head word
+	lkTail                        // the queue's Tail word
+	lkNext                        // a node's next word (idx = node)
+	lkValue                       // a node's value cell (idx = node)
+	lkRefct                       // a node's Valois reference counter (idx = node)
+	lkFree                        // the free-list (one location: pop and push are single events)
+	lkHLock                       // the two-lock machine's head lock
+	lkTLock                       // the two-lock machine's tail lock
+	lkHist                        // the history: invokes read it, returns write it
+	lkEpGlobal                    // the epoch domain's global epoch word
+	lkEpPin                       // a participant's pin word (idx = process)
+	lkEpLimbo                     // a participant's limbo buckets (idx = process)
+	lkRHead                       // the ring's head reservation counter
+	lkRTail                       // the ring's tail reservation counter
+	lkRThresh                     // the ring's threshold counter
+	lkRSlot                       // a ring slot word (idx = slot)
 )
 
 // loc is one shared location. idx disambiguates within a kind (node index,

@@ -15,9 +15,6 @@ import (
 // of truth instead of re-deriving the log-bucket rule.
 const NumLatencyBuckets = 64
 
-// numBuckets is the internal alias predating the export.
-const numBuckets = NumLatencyBuckets
-
 // histStripes splits each bucket array across several copies so that
 // goroutines observing similar latencies (the common case: a tight
 // distribution hits one or two buckets) do not serialise on one atomic
@@ -34,7 +31,7 @@ const histStripes = 4
 // bucket (the snapshot reports the bucket midpoint) — amply precise for
 // "did p99 blow up under contention", which is what the harness asks.
 type Histogram struct {
-	buckets [histStripes][numBuckets]atomic.Int64
+	buckets [histStripes][NumLatencyBuckets]atomic.Int64
 }
 
 // Observe records one duration. Negative durations (clock steps) count as
@@ -51,7 +48,7 @@ func (h *Histogram) Observe(d time.Duration) {
 func (h *Histogram) Snapshot() LatencySnapshot {
 	var snap LatencySnapshot
 	for s := 0; s < histStripes; s++ {
-		for b := 0; b < numBuckets; b++ {
+		for b := 0; b < NumLatencyBuckets; b++ {
 			n := h.buckets[s][b].Load()
 			snap.Buckets[b] += n
 			snap.Count += n
@@ -66,7 +63,7 @@ type LatencySnapshot struct {
 	Count int64
 	// Buckets[b] is the number of observations with bits.Len64(ns) == b,
 	// i.e. durations in [2^(b-1), 2^b) nanoseconds (bucket 0 is exactly 0).
-	Buckets [numBuckets]int64
+	Buckets [NumLatencyBuckets]int64
 }
 
 // Quantile returns the q-th quantile (0..1) as the midpoint of the bucket
@@ -87,34 +84,20 @@ func (l LatencySnapshot) Quantile(q float64) time.Duration {
 		rank = l.Count - 1
 	}
 	var seen int64
-	for b := 0; b < numBuckets; b++ {
+	for b := 0; b < NumLatencyBuckets; b++ {
 		seen += l.Buckets[b]
 		if seen > rank {
 			if q >= 1 {
-				return bucketMax(b)
+				return BucketUpperBound(b)
 			}
-			return bucketMid(b)
+			return BucketMidpoint(b)
 		}
 	}
-	return bucketMax(numBuckets - 1)
-}
-
-// Mean returns the mean of the bucket midpoints, weighted by count.
-func (l LatencySnapshot) Mean() time.Duration {
-	if l.Count == 0 {
-		return 0
-	}
-	var sum float64
-	for b, n := range l.Buckets {
-		if n != 0 {
-			sum += float64(n) * float64(bucketMid(b))
-		}
-	}
-	return time.Duration(sum / float64(l.Count))
+	return BucketUpperBound(NumLatencyBuckets - 1)
 }
 
 // BucketMidpoint returns the midpoint of bucket b's range [2^(b-1), 2^b) —
-// the value Quantile and Mean report for observations that landed in b.
+// the value Quantile reports for observations that landed in b.
 func BucketMidpoint(b int) time.Duration {
 	if b <= 0 {
 		return 0
@@ -135,6 +118,3 @@ func BucketUpperBound(b int) time.Duration {
 	}
 	return time.Duration(int64(1)<<b - 1)
 }
-
-func bucketMid(b int) time.Duration { return BucketMidpoint(b) }
-func bucketMax(b int) time.Duration { return BucketUpperBound(b) }

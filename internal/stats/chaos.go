@@ -53,38 +53,6 @@ func ChaosTable(rows []ChaosRow) string {
 		})
 	}
 
-	widths := make([]int, len(headers))
-	for c, h := range headers {
-		widths[c] = len(h)
-	}
-	for _, row := range cells {
-		for c, cell := range row {
-			if len(cell) > widths[c] {
-				widths[c] = len(cell)
-			}
-		}
-	}
-	last := len(headers) - 1
-	writeRow := func(row []string) {
-		for c, cell := range row {
-			if c > 0 {
-				b.WriteString("  ")
-			}
-			switch c {
-			case 0, 1:
-				fmt.Fprintf(&b, "%-*s", widths[c], cell)
-			case last:
-				b.WriteString(cell) // left-aligned, no trailing pad
-			default:
-				fmt.Fprintf(&b, "%*s", widths[c], cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	writeRow(separators(widths))
-	for _, row := range cells {
-		writeRow(row)
-	}
+	writeTable(&b, "llrrrrrl", headers, cells)
 	return b.String()
 }

@@ -87,34 +87,6 @@ func ContentionTable(rows []ContentionRow) string {
 		})
 	}
 
-	widths := make([]int, len(headers))
-	for c, h := range headers {
-		widths[c] = len(h)
-	}
-	for _, row := range cells {
-		for c, cell := range row {
-			if len(cell) > widths[c] {
-				widths[c] = len(cell)
-			}
-		}
-	}
-	writeRow := func(row []string) {
-		for c, cell := range row {
-			if c > 0 {
-				b.WriteString("  ")
-			}
-			if c == 0 {
-				fmt.Fprintf(&b, "%-*s", widths[c], cell)
-			} else {
-				fmt.Fprintf(&b, "%*s", widths[c], cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	writeRow(separators(widths))
-	for _, row := range cells {
-		writeRow(row)
-	}
+	writeTable(&b, "l", headers, cells)
 	return b.String()
 }

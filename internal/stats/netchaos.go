@@ -54,38 +54,6 @@ func NetChaosTable(rows []NetChaosRow) string {
 		})
 	}
 
-	widths := make([]int, len(headers))
-	for c, h := range headers {
-		widths[c] = len(h)
-	}
-	for _, row := range cells {
-		for c, cell := range row {
-			if len(cell) > widths[c] {
-				widths[c] = len(cell)
-			}
-		}
-	}
-	last := len(headers) - 1
-	writeRow := func(row []string) {
-		for c, cell := range row {
-			if c > 0 {
-				b.WriteString("  ")
-			}
-			switch c {
-			case 0:
-				fmt.Fprintf(&b, "%-*s", widths[c], cell)
-			case last:
-				b.WriteString(cell) // left-aligned, no trailing pad
-			default:
-				fmt.Fprintf(&b, "%*s", widths[c], cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	writeRow(separators(widths))
-	for _, row := range cells {
-		writeRow(row)
-	}
+	writeTable(&b, "lrrrrrrl", headers, cells)
 	return b.String()
 }

@@ -83,31 +83,7 @@ func ShardTable(rows []ShardRow) string {
 		share(total),
 	})
 
-	widths := make([]int, len(headers))
-	for c, h := range headers {
-		widths[c] = len(h)
-	}
-	for _, row := range cells {
-		for c, cell := range row {
-			if len(cell) > widths[c] {
-				widths[c] = len(cell)
-			}
-		}
-	}
-	writeRow := func(row []string) {
-		for c, cell := range row {
-			if c > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%*s", widths[c], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	writeRow(separators(widths))
-	for _, row := range cells {
-		writeRow(row)
-	}
+	writeTable(&b, "", headers, cells)
 
 	if removed := total.Dequeues + total.Steals; removed > 0 {
 		fmt.Fprintf(&b, "stolen: %.1f%% of %d removed item(s)\n",

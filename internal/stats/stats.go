@@ -1,82 +1,14 @@
-// Package stats provides the summary statistics and the table/CSV
-// formatting used to report the reproduced figures.
+// Package stats renders the reproduction's reports: the figure tables,
+// speedups and CSV behind the paper's plots, and the contention, chaos,
+// netchaos and shard tables. Every table goes through one writer,
+// writeTable, so all of them share one column rule.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Summary holds order statistics over a set of duration samples.
-type Summary struct {
-	N      int
-	Min    time.Duration
-	Max    time.Duration
-	Mean   time.Duration
-	Median time.Duration
-	Stddev time.Duration
-}
-
-// Summarize computes a Summary of the samples. It returns the zero Summary
-// for an empty input.
-func Summarize(samples []time.Duration) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
-	var sum float64
-	for _, s := range sorted {
-		sum += float64(s)
-	}
-	mean := sum / float64(len(sorted))
-
-	var sq float64
-	for _, s := range sorted {
-		d := float64(s) - mean
-		sq += d * d
-	}
-	std := 0.0
-	if len(sorted) > 1 {
-		std = math.Sqrt(sq / float64(len(sorted)-1))
-	}
-
-	return Summary{
-		N:      len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   time.Duration(mean),
-		Median: Percentile(sorted, 50),
-		Stddev: time.Duration(std),
-	}
-}
-
-// Percentile returns the p-th percentile (0..100) of sorted samples using
-// linear interpolation. The input must be sorted ascending.
-func Percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo] + time.Duration(frac*float64(sorted[hi]-sorted[lo]))
-}
 
 // Series is one curve of a figure: a label plus one value per x position,
 // mirroring the paper's "net elapsed time vs. processors" plots.
@@ -119,33 +51,7 @@ func (f *Figure) Table() string {
 		}
 		rows = append(rows, row)
 	}
-
-	widths := make([]int, len(headers))
-	for c, h := range headers {
-		widths[c] = len(h)
-	}
-	for _, row := range rows {
-		for c, cell := range row {
-			if len(cell) > widths[c] {
-				widths[c] = len(cell)
-			}
-		}
-	}
-
-	writeRow := func(cells []string) {
-		for c, cell := range cells {
-			if c > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%*s", widths[c], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	writeRow(separators(widths))
-	for _, row := range rows {
-		writeRow(row)
-	}
+	writeTable(&b, "", headers, rows)
 	return b.String()
 }
 
@@ -229,12 +135,40 @@ func formatSeconds(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 
-func separators(widths []int) []string {
-	seps := make([]string, len(widths))
-	for i, w := range widths {
-		seps[i] = strings.Repeat("-", w)
+// writeTable writes headers, a dashed separator and rows as columns two
+// spaces apart, each as wide as its widest cell. align holds one byte per
+// column: 'l' left-aligns it, anything else (or a column past the end of
+// align) right-aligns it. A left-aligned last column is not padded, so
+// free-text verdicts leave no trailing blanks.
+func writeTable(b *strings.Builder, align string, headers []string, rows [][]string) {
+	lines := append([][]string{headers, nil}, rows...)
+	widths := make([]int, len(headers))
+	for _, row := range lines {
+		for c, cell := range row {
+			widths[c] = max(widths[c], len(cell))
+		}
 	}
-	return seps
+	lines[1] = make([]string, len(headers))
+	for c, w := range widths {
+		lines[1][c] = strings.Repeat("-", w)
+	}
+	last := len(headers) - 1
+	for _, row := range lines {
+		for c, cell := range row {
+			if c > 0 {
+				b.WriteString("  ")
+			}
+			switch left := c < len(align) && align[c] == 'l'; {
+			case left && c == last:
+				b.WriteString(cell)
+			case left:
+				fmt.Fprintf(b, "%-*s", widths[c], cell)
+			default:
+				fmt.Fprintf(b, "%*s", widths[c], cell)
+			}
+		}
+		b.WriteByte('\n')
+	}
 }
 
 func csvEscape(s string) string {
@@ -279,31 +213,6 @@ func (f *Figure) SpeedupTable(baseline string) (string, error) {
 		}
 		rows = append(rows, row)
 	}
-
-	widths := make([]int, len(headers))
-	for c, h := range headers {
-		widths[c] = len(h)
-	}
-	for _, row := range rows {
-		for c, cell := range row {
-			if len(cell) > widths[c] {
-				widths[c] = len(cell)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for c, cell := range cells {
-			if c > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%*s", widths[c], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	writeRow(separators(widths))
-	for _, row := range rows {
-		writeRow(row)
-	}
+	writeTable(&b, "", headers, rows)
 	return b.String(), nil
 }

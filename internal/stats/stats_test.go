@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -14,101 +12,6 @@ func durs(ms ...int) []time.Duration {
 		out[i] = time.Duration(m) * time.Millisecond
 	}
 	return out
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Fatalf("Summarize(nil) = %+v", s)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize(durs(10))
-	if s.N != 1 || s.Min != 10*time.Millisecond || s.Max != 10*time.Millisecond {
-		t.Fatalf("got %+v", s)
-	}
-	if s.Mean != 10*time.Millisecond || s.Median != 10*time.Millisecond || s.Stddev != 0 {
-		t.Fatalf("got %+v", s)
-	}
-}
-
-func TestSummarizeKnownValues(t *testing.T) {
-	s := Summarize(durs(1, 2, 3, 4, 100))
-	if s.N != 5 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if s.Min != time.Millisecond || s.Max != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if s.Mean != 22*time.Millisecond {
-		t.Fatalf("Mean = %v, want 22ms", s.Mean)
-	}
-	if s.Median != 3*time.Millisecond {
-		t.Fatalf("Median = %v, want 3ms", s.Median)
-	}
-}
-
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	in := durs(5, 1, 3)
-	Summarize(in)
-	if in[0] != 5*time.Millisecond || in[1] != time.Millisecond {
-		t.Fatalf("input mutated: %v", in)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	sorted := durs(10, 20, 30, 40, 50)
-	tests := []struct {
-		p    float64
-		want time.Duration
-	}{
-		{p: 0, want: 10 * time.Millisecond},
-		{p: 100, want: 50 * time.Millisecond},
-		{p: 50, want: 30 * time.Millisecond},
-		{p: 25, want: 20 * time.Millisecond},
-		{p: 12.5, want: 15 * time.Millisecond}, // interpolated
-		{p: -5, want: 10 * time.Millisecond},
-		{p: 200, want: 50 * time.Millisecond},
-	}
-	for _, tt := range tests {
-		if got := Percentile(sorted, tt.p); got != tt.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v", got)
-	}
-}
-
-func TestPercentileMonotone(t *testing.T) {
-	f := func(raw []uint16, a, b float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		sorted := make([]time.Duration, len(raw))
-		for i, r := range raw {
-			sorted[i] = time.Duration(r)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		pa, pb := mod100(a), mod100(b)
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		return Percentile(sorted, pa) <= Percentile(sorted, pb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func mod100(f float64) float64 {
-	if f < 0 {
-		f = -f
-	}
-	for f > 100 {
-		f /= 10
-	}
-	return f
 }
 
 func testFigure() *Figure {

@@ -1,16 +1,16 @@
 // Package telemetry turns the monotonic counters of internal/metrics and
 // the server's tallies into *live* observability for a long-running
-// qserve: windowed rates and quantiles (delta.go), a Prometheus
-// text-exposition /metrics endpoint plus /healthz and pprof on an admin
-// listener (exporter.go, admin.go), and a bounded lock-free flight
-// recorder holding the last N wire/server events for post-incident
-// reconstruction (this file).
+// qserve: a Prometheus text-exposition /metrics endpoint plus /healthz
+// and pprof on an admin listener (exporter.go, admin.go), a parser for
+// that exposition (parse.go) so a scraper can diff two of them, and a
+// bounded lock-free flight recorder holding the last N wire/server events
+// for post-incident reconstruction (this file).
 //
 // Everything here is read-side only with respect to the hot path: the
-// exporter and delta engine consume metrics.Probe snapshots (read-only
-// atomic sweeps), the recorder's write path is one allocation, one
-// fetch-and-add and one atomic pointer store, and no queue operation ever
-// waits on a telemetry lock.
+// exporter consumes metrics.Probe snapshots (read-only atomic sweeps),
+// the recorder's write path is one allocation, one fetch-and-add and one
+// atomic pointer store, and no queue operation ever waits on a telemetry
+// lock.
 package telemetry
 
 import (

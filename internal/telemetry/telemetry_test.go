@@ -13,128 +13,6 @@ import (
 	"msqueue/internal/wire"
 )
 
-// --- delta engine ---
-
-func TestDeltaRatesAndWindowedQuantiles(t *testing.T) {
-	p := metrics.NewProbe()
-	p.Add(metrics.WireEnq, 100)
-	p.Observe(metrics.Enqueue, 10*time.Microsecond)
-	s1 := TakeSample(p)
-	s1.At = time.Unix(1000, 0) // pin the window for exact rate math
-
-	p.Add(metrics.WireEnq, 150)
-	p.Add(metrics.WireCorrupt, 3)
-	for i := 0; i < 10; i++ {
-		p.Observe(metrics.Enqueue, time.Millisecond)
-	}
-	s2 := TakeSample(p)
-	s2.At = time.Unix(1010, 0)
-
-	d := Between(s1, s2)
-	if d.Clamped {
-		t.Fatal("monotone counters reported Clamped")
-	}
-	if d.Sites[metrics.WireEnq] != 150 || d.Sites[metrics.WireCorrupt] != 3 {
-		t.Fatalf("site deltas = %d, %d; want 150, 3",
-			d.Sites[metrics.WireEnq], d.Sites[metrics.WireCorrupt])
-	}
-	if got := d.Rate(metrics.WireEnq); got != 15 {
-		t.Fatalf("Rate(WireEnq) = %v, want 15/s", got)
-	}
-	// The window's latency distribution must exclude the pre-window
-	// 10µs observation: its p50 is the 1ms bucket's midpoint, and its
-	// count is only the in-window observations.
-	if got := d.Latency[metrics.Enqueue].Count; got != 10 {
-		t.Fatalf("windowed enqueue count = %d, want 10", got)
-	}
-	p50 := d.Latency[metrics.Enqueue].Quantile(0.50)
-	if p50 < 512*time.Microsecond || p50 > 2*time.Millisecond {
-		t.Fatalf("windowed p50 = %v, want ~1ms (the in-window observations only)", p50)
-	}
-	if got := d.OpRate(metrics.Enqueue); got != 1 {
-		t.Fatalf("OpRate(Enqueue) = %v, want 1/s", got)
-	}
-}
-
-// TestDeltaCounterWentBackwards: a counter going backwards mid-window
-// (probe swapped out or reset between scrapes) clamps to zero and flags
-// Clamped instead of exporting a huge bogus delta.
-func TestDeltaCounterWentBackwards(t *testing.T) {
-	big := metrics.NewProbe()
-	big.Add(metrics.WireEnq, 1000)
-	big.Observe(metrics.Dequeue, time.Millisecond)
-	small := metrics.NewProbe()
-	small.Add(metrics.WireEnq, 10)
-	small.Add(metrics.WireDeq, 7)
-
-	s1 := TakeSample(big)
-	s2 := TakeSample(small) // the "restarted" probe
-	d := Between(s1, s2)
-	if !d.Clamped {
-		t.Fatal("restart window not flagged Clamped")
-	}
-	if d.Sites[metrics.WireEnq] != 0 {
-		t.Fatalf("wrapped counter delta = %d, want clamped 0", d.Sites[metrics.WireEnq])
-	}
-	if d.Sites[metrics.WireDeq] != 7 {
-		t.Fatalf("still-monotone counter delta = %d, want 7", d.Sites[metrics.WireDeq])
-	}
-	if d.Latency[metrics.Dequeue].Count != 0 {
-		t.Fatalf("wrapped histogram count = %d, want clamped 0", d.Latency[metrics.Dequeue].Count)
-	}
-	for _, n := range d.Latency[metrics.Dequeue].Buckets {
-		if n < 0 {
-			t.Fatal("negative bucket survived the clamp")
-		}
-	}
-}
-
-// TestDeltaStripeAddedMidWindow: counts recorded by goroutines (stripes)
-// that were silent before the first sample belong entirely to the window.
-// The snapshot sums stripes, so a fresh stripe's whole contribution must
-// appear as in-window delta, never as a clamp.
-func TestDeltaStripeAddedMidWindow(t *testing.T) {
-	p := metrics.NewProbe()
-	p.Add(metrics.WireEnq, 5) // this goroutine's stripe is live pre-window
-	s1 := TakeSample(p)
-
-	// Spread the mid-window writes across many goroutines so multiple
-	// stripes that were zero at s1 become nonzero by s2.
-	var wg sync.WaitGroup
-	const writers, each = 16, 100
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < each; j++ {
-				p.Add(metrics.WireEnq, 1)
-				p.Observe(metrics.Enqueue, time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	s2 := TakeSample(p)
-
-	d := Between(s1, s2)
-	if d.Clamped {
-		t.Fatal("new stripes mid-window must not read as a wrap")
-	}
-	if got := d.Sites[metrics.WireEnq]; got != writers*each {
-		t.Fatalf("windowed delta = %d, want %d", got, writers*each)
-	}
-	if got := d.Latency[metrics.Enqueue].Count; got != writers*each {
-		t.Fatalf("windowed observation count = %d, want %d", got, writers*each)
-	}
-}
-
-func TestDeltaNilProbeAndEmptyWindow(t *testing.T) {
-	s := TakeSample(nil)
-	d := Between(s, s)
-	if d.Clamped || d.Rate(metrics.WireEnq) != 0 || d.OpRate(metrics.Enqueue) != 0 {
-		t.Fatalf("empty window over nil probe: %+v", d)
-	}
-}
-
 // --- flight recorder ---
 
 func TestRecorderRetainsLastN(t *testing.T) {
