@@ -7,21 +7,19 @@
 //	qmodel -algo epoch         # epoch-reclamation pin/advance protocol
 //	qmodel -algo ring          # the SCQ slot-cycle protocol
 //	qmodel -algo all           # the full suite
-//	qmodel -algo all -dpor     # same verdicts, partial-order-reduced
 //
-// Each algorithm runs a set of small workloads; every interleaving (paths
-// mode) or every reachable state (graph mode) is checked. The expected
+// Each algorithm runs a set of small workloads, each searched over every
+// interleaving with a memo of visited states. A paths scenario keys the
+// memo on the state plus the order of the history's endpoints, so every
+// distinct complete history is checked for linearizability; a graph
+// scenario keys it on the state alone and checks every reachable state.
+// The printed count is of distinct memo keys. The expected
 // verdicts mirror the paper: the MS queue is clean everywhere, Stone's
 // queue is non-linearizable and loses items through the counter-less ABA,
 // and Mellor-Crummey's queue blocks dequeuers behind a stalled enqueuer.
 // The epoch and ring machines extend the suite past the paper to the
 // repository's reclamation and bounded-queue layers, including the
 // pin-keyed limbo variant (the PR-7 bug) as a deliberately dirty specimen.
-//
-// -dpor switches paths-mode scenarios to dynamic partial-order reduction:
-// only interleavings that differ in the order of conflicting events are
-// explored, typically orders of magnitude fewer, with identical verdicts
-// (graph-mode scenarios are already state-deduplicated and run unchanged).
 package main
 
 import (
@@ -160,6 +158,14 @@ func scenarios(algo explore.Algo) []scenario {
 	case explore.AlgoValois:
 		return []scenario{
 			{
+				name: "valois/paths/enq-vs-deq", expect: "clean",
+				summary: "SafeRead and the release cascade: every history linearizable, ledger balanced",
+				cfg: explore.Config{
+					Algo: explore.AlgoValois, Scripts: enqVsDeq, ArenaSize: 3,
+					CheckLedger: explore.CheckValoisLedger,
+				},
+			},
+			{
 				name: "valois/graph/refcount-ledger", expect: "clean",
 				summary: "reference-count ledger balanced in every reachable state; non-blocking",
 				cfg: explore.Config{
@@ -271,7 +277,6 @@ func scenarios(algo explore.Algo) []scenario {
 func run(args []string) (int, error) {
 	fs := flag.NewFlagSet("qmodel", flag.ContinueOnError)
 	algoFlag := fs.String("algo", "all", `algorithm to model-check: "ms", "two-lock", "valois", "stone", "mc", "epoch", "epoch-pinkeyed", "ring" or "all"`)
-	dpor := fs.Bool("dpor", false, "explore paths mode with dynamic partial-order reduction (same verdicts, far fewer paths)")
 	verbose := fs.Bool("v", false, "print every violation found")
 	if err := fs.Parse(args); err != nil {
 		return 1, err
@@ -308,11 +313,7 @@ func run(args []string) (int, error) {
 	exitCode := 0
 	for _, algo := range algos {
 		for _, sc := range scenarios(algo) {
-			cfg := sc.cfg
-			if *dpor && cfg.Mode != explore.ModeGraph {
-				cfg.DPOR = true
-			}
-			res, err := explore.Run(cfg)
+			res, err := explore.Run(sc.cfg)
 			if err != nil {
 				return 1, err
 			}
@@ -320,15 +321,8 @@ func run(args []string) (int, error) {
 			if !ok {
 				exitCode = 2
 			}
-			mode := "paths"
-			switch {
-			case cfg.Mode == explore.ModeGraph:
-				mode = "states"
-			case cfg.DPOR:
-				mode = "reduced paths"
-			}
-			fmt.Printf("%-7s %-28s %9d %s, %8d events, parked=%d blocked=%d violations=%d — %s\n",
-				verdict, sc.name, res.Paths, mode, res.Events, res.Parked, res.Blocked, len(res.Violations), sc.summary)
+			fmt.Printf("%-7s %-30s %7d states, %7d events, parked=%d blocked=%d violations=%d — %s\n",
+				verdict, sc.name, res.Paths, res.Events, res.Parked, res.Blocked, len(res.Violations), sc.summary)
 			if *verbose {
 				for _, v := range res.Violations {
 					fmt.Printf("        %v\n", v)

@@ -2,24 +2,28 @@ package explore
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"msqueue/internal/linearizability"
 )
 
-// Mode selects the exploration strategy.
+// Mode selects whether the exploration records histories. Both modes run
+// the same memoised depth-first search over every interleaving; they differ
+// in what the memo key remembers of the path that reached a state.
 type Mode int
 
 const (
-	// ModePaths enumerates every complete interleaving and checks each
-	// history with the exact linearizability decision procedure. The number
-	// of interleavings is combinatorial in the event count, so this mode
-	// suits two processes and a handful of operations.
+	// ModePaths records the history and checks every complete one with the
+	// exact linearizability decision procedure. A state is revisited only
+	// with a history whose endpoints lie in a different order (histKey), so
+	// every distinct complete history is reached and checked.
 	ModePaths Mode = iota
-	// ModeGraph walks the reachable *state* graph with memoisation,
-	// checking the structural invariants in every state and detecting
-	// blocked states. State counts stay small even when the path count is
-	// astronomical, so this mode scales to more processes and longer
-	// scripts. Histories (a path property) are not checked.
+	// ModeGraph records no history: the key is the state alone, so the
+	// search visits each reachable state once, checking the structural
+	// invariants and detecting blocked states. State counts stay small
+	// where history orders multiply, so this mode scales to more processes
+	// and longer scripts. Histories (a path property) are not checked.
 	ModeGraph
 )
 
@@ -39,20 +43,10 @@ func (m Mode) String() string {
 type Config struct {
 	// Algo selects the algorithm all processes run.
 	Algo Algo
-	// Mode selects path enumeration (linearizability) or state-graph search
-	// (invariants, blocking). The zero value is ModePaths.
+	// Mode selects whether histories are recorded and checked for
+	// linearizability (ModePaths, the zero value) or only states
+	// (ModeGraph).
 	Mode Mode
-	// DPOR enables dynamic partial-order reduction with sleep sets in
-	// ModePaths: instead of every interleaving, the explorer runs one
-	// representative per equivalence class of interleavings that differ only
-	// in the order of independent (non-conflicting) events, computing
-	// backtracking points from the actual conflicts each executed transition
-	// has with earlier ones (dpor.go). Verdicts are unchanged — the
-	// cross-checks in dpor_test.go enforce that against full enumeration —
-	// but the path count drops by orders of magnitude, which is the budget
-	// the epoch and ring models spend. Not valid with ModeGraph (graph mode
-	// already collapses the path explosion by state memoisation).
-	DPOR bool
 	// Scripts gives each process its operation sequence. Enqueued values
 	// must be unique across all scripts (the checkers require it).
 	Scripts [][]OpSpec
@@ -74,9 +68,8 @@ type Config struct {
 	// CheckLedger, when set, also runs after every event with the process
 	// states (CheckValoisLedger needs the references each process holds).
 	CheckLedger func(*State, []Proc) error
-	// MaxPaths caps the number of complete interleavings (ModePaths) or
-	// visited states (ModeGraph); the result reports truncation. Zero
-	// means DefaultMaxPaths.
+	// MaxPaths caps the number of distinct states visited; the result
+	// reports truncation. Zero means DefaultMaxPaths.
 	MaxPaths int
 	// LoopBudget is the fallback bound on consecutive no-write events while
 	// the shared state is unchanged before a process is parked. The primary
@@ -110,7 +103,7 @@ type Violation struct {
 	History []linearizability.Op
 	// Minimized, when non-nil, is a shortened schedule that still reproduces
 	// a violation of the same Kind under Replay (replay.go). Run fills it in
-	// for ModePaths findings.
+	// for every finding.
 	Minimized []int
 }
 
@@ -121,16 +114,15 @@ func (v Violation) String() string {
 
 // Result summarises an exploration.
 type Result struct {
-	// Paths is the number of complete interleavings (ModePaths) or distinct
-	// reachable states (ModeGraph) explored.
+	// Paths is the number of distinct states explored: distinct memo keys,
+	// which in ModePaths include the history's endpoint order.
 	Paths int
 	// Events is the total number of shared-memory events executed.
 	Events int
-	// Blocked counts executions (ModePaths) or states (ModeGraph) in which
-	// unfinished processes existed but every one was spinning in a
-	// read-only loop — a full deadlock. For every modelled algorithm this
-	// should be zero (even the blocking ones always have *some* process
-	// that can run).
+	// Blocked counts states in which unfinished processes existed but
+	// every one was spinning in a read-only loop — a full deadlock. For
+	// every modelled algorithm this should be zero (even the blocking ones
+	// always have *some* process that can run).
 	Blocked int
 	// Parked counts detections of a process spinning in a read-only loop
 	// while the shared state is quiescent: the process cannot complete its
@@ -141,11 +133,6 @@ type Result struct {
 	// write. For Mellor-Crummey's queue the dequeuer parks in the
 	// swap-to-link window.
 	Parked int
-	// Pruned counts DPOR sleep-set prunes: states whose every enabled
-	// process was asleep, meaning each of its transitions was already
-	// explored in an equivalent order elsewhere. These are *redundant*
-	// prefixes, not deadlocks; Blocked counts the latter.
-	Pruned int
 	// Capped reports that MaxPaths truncated the exploration.
 	Capped bool
 	// Violations collects the first few invariant, linearizability and
@@ -162,12 +149,8 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.DPOR {
-		e.dpor(state, procs, nil, nil)
-	} else {
-		e.dfs(state, procs, nil)
-	}
-	if e.err == nil && cfg.Mode == ModePaths {
+	e.dfs(state, procs, nil)
+	if e.err == nil {
 		e.minimizeViolations()
 	}
 	return e.res, e.err
@@ -181,9 +164,6 @@ func newExplorer(cfg Config) (*explorer, *State, []Proc, error) {
 	}
 	if cfg.ArenaSize < 1 {
 		return nil, nil, nil, fmt.Errorf("explore: ArenaSize must be >= 1")
-	}
-	if cfg.DPOR && cfg.Mode == ModeGraph {
-		return nil, nil, nil, fmt.Errorf("explore: DPOR applies to ModePaths only (graph mode deduplicates states, not orderings)")
 	}
 	if err := validateValues(cfg.Scripts); err != nil {
 		return nil, nil, nil, err
@@ -224,9 +204,7 @@ func newExplorer(cfg Config) (*explorer, *State, []Proc, error) {
 		cfg:        cfg,
 		maxPaths:   maxPaths,
 		loopBudget: loopBudget,
-	}
-	if cfg.Mode == ModeGraph {
-		e.visited = make(map[string]struct{})
+		visited:    make(map[string]struct{}),
 	}
 	return e, state, procs, nil
 }
@@ -235,10 +213,15 @@ type explorer struct {
 	cfg        Config
 	maxPaths   int
 	loopBudget int
-	visited    map[string]struct{} // ModeGraph only
-	frames     []*dporFrame        // DPOR only: the current schedule's frames
-	res        Result
-	err        error
+	// visited is the memo of explored keys. A nil memo makes dfs enumerate
+	// every interleaving, which the package tests use as the oracle.
+	visited map[string]struct{}
+	// onLeaf, when set, is called with the final state of each complete
+	// execution before leaf checks its history (a test seam; nil in
+	// production).
+	onLeaf func(*State)
+	res    Result
+	err    error
 }
 
 // candidates returns the runnable processes — unfinished and not parked at
@@ -259,12 +242,11 @@ func candidates(s *State, procs []Proc) ([]int, int) {
 	return cands, unfinished
 }
 
-// leaf handles a complete interleaving (ModePaths): count it and check its
-// history with the exact linearizability decision procedure.
+// leaf checks a complete execution's history (ModePaths) with the exact
+// linearizability decision procedure.
 func (e *explorer) leaf(s *State, schedule []int) {
-	e.res.Paths++
-	if e.res.Paths >= e.maxPaths {
-		e.res.Capped = true
+	if e.onLeaf != nil {
+		e.onLeaf(s)
 	}
 	ok, err := linearizability.CheckExact(linearizability.History{Ops: s.History})
 	if err != nil {
@@ -375,6 +357,9 @@ func (e *explorer) dfs(s *State, procs []Proc, schedule []int) {
 
 	if e.visited != nil {
 		key := nodeKey(s, procs)
+		if !s.NoHistory {
+			key += histKey(s, procs)
+		}
 		if _, seen := e.visited[key]; seen {
 			return
 		}
@@ -389,7 +374,7 @@ func (e *explorer) dfs(s *State, procs []Proc, schedule []int) {
 	cands, unfinished := candidates(s, procs)
 
 	if unfinished == 0 {
-		if e.visited == nil {
+		if !s.NoHistory {
 			e.leaf(s, schedule)
 		}
 		return
@@ -418,9 +403,10 @@ func (e *explorer) violation(v Violation) {
 	}
 }
 
-// nodeKey serialises shared state plus process machine states for the
-// graph-mode memo. The event clock and history are excluded: they are path
-// properties, which graph mode does not check.
+// nodeKey serialises shared state plus process machine states for the memo.
+// Together they determine every future step and check, so two paths that
+// reach the same key have the same futures. The event clock and history
+// are excluded: they are path properties, which histKey adds in ModePaths.
 func nodeKey(s *State, procs []Proc) string {
 	key := s.key()
 	for i := range procs {
@@ -433,6 +419,45 @@ func nodeKey(s *State, procs []Proc) string {
 		key += fmt.Sprintf("|%s q%d k%v f%v a%s", p.localKey(), p.quiet, parkedNow, fresh, p.anchor)
 	}
 	return key
+}
+
+// histKey encodes what of the history a future linearizability verdict can
+// depend on: the order of its endpoints — each completed operation's invoke
+// and return, and the invoke of each operation started but not returned —
+// without their clock values. linearizability.CheckExact reads Invoke and
+// Return only through < comparisons, and every endpoint still to come lies
+// after all of these, so two paths reaching the same nodeKey with the same
+// endpoint order complete to histories with the same verdicts: the memo is
+// exact for paths mode, and the search reaches every distinct history.
+func histKey(s *State, procs []Proc) string {
+	type endpoint struct {
+		at  int64
+		tag string
+	}
+	eps := make([]endpoint, 0, 2*len(s.History)+len(procs))
+	lastInvoke := make([]int64, len(procs))
+	for _, op := range s.History {
+		eps = append(eps,
+			endpoint{op.Invoke, fmt.Sprintf("i%d", op.Process)},
+			endpoint{op.Return, fmt.Sprintf("r%d:%d:%d", op.Process, op.Kind, op.Value)})
+		lastInvoke[op.Process] = max(lastInvoke[op.Process], op.Invoke)
+	}
+	// p.invoked keeps the last started operation's clock after it returns,
+	// so it marks a pending operation only when it is newer than p's last
+	// completed invoke.
+	for i := range procs {
+		if procs[i].invoked > lastInvoke[i] {
+			eps = append(eps, endpoint{procs[i].invoked, fmt.Sprintf("i%d", i)})
+		}
+	}
+	sort.Slice(eps, func(a, b int) bool { return eps[a].at < eps[b].at })
+	var b strings.Builder
+	b.WriteString("||")
+	for _, ep := range eps {
+		b.WriteString(ep.tag)
+		b.WriteByte(' ')
+	}
+	return b.String()
 }
 
 func validateValues(scripts [][]OpSpec) error {

@@ -6,16 +6,13 @@ import (
 )
 
 func TestMSExhaustivePairPerProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("~1.4M interleavings; skipped in -short")
-	}
-	// Paths mode: every interleaving's history is checked exactly. The
-	// script sizes are chosen so the full enumeration stays tractable.
+	// Paths mode: an enqueue-dequeue pair on each process, every distinct
+	// history checked exactly.
 	res, err := Run(Config{
 		Algo: AlgoMS,
 		Scripts: [][]OpSpec{
 			{Enq(1), Deq()},
-			{Enq(2)},
+			{Enq(2), Deq()},
 		},
 		ArenaSize:       4,
 		CheckInvariants: CheckMSInvariants,
@@ -27,7 +24,7 @@ func TestMSExhaustivePairPerProcess(t *testing.T) {
 		t.Fatal("exploration capped; raise MaxPaths")
 	}
 	if res.Paths == 0 {
-		t.Fatal("no interleavings explored")
+		t.Fatal("no states explored")
 	}
 	if res.Blocked != 0 || res.Parked != 0 {
 		t.Fatalf("MS queue blocked=%d parked=%d: %v", res.Blocked, res.Parked, res.Violations)
@@ -35,7 +32,7 @@ func TestMSExhaustivePairPerProcess(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
 	}
-	t.Logf("explored %d interleavings, %d events", res.Paths, res.Events)
+	t.Logf("explored %d states, %d events", res.Paths, res.Events)
 }
 
 func TestMSExhaustiveThreeProcesses(t *testing.T) {
@@ -62,7 +59,7 @@ func TestMSExhaustiveThreeProcesses(t *testing.T) {
 	if res.Blocked != 0 || res.Parked != 0 || len(res.Violations) != 0 {
 		t.Fatalf("blocked=%d parked=%d violations=%v", res.Blocked, res.Parked, res.Violations)
 	}
-	t.Logf("explored %d interleavings, %d events", res.Paths, res.Events)
+	t.Logf("explored %d states, %d events", res.Paths, res.Events)
 }
 
 func TestMSExhaustiveEmptyReports(t *testing.T) {
@@ -106,7 +103,7 @@ func TestMSExhaustiveTinyArenaForcesReuse(t *testing.T) {
 	if res.Blocked != 0 || res.Parked != 0 || len(res.Violations) != 0 {
 		t.Fatalf("blocked=%d parked=%d violations=%v", res.Blocked, res.Parked, res.Violations)
 	}
-	t.Logf("explored %d interleavings, %d events", res.Paths, res.Events)
+	t.Logf("explored %d states, %d events", res.Paths, res.Events)
 }
 
 func TestStoneExplorationFindsNonLinearizableEmpty(t *testing.T) {
@@ -129,7 +126,7 @@ func TestStoneExplorationFindsNonLinearizableEmpty(t *testing.T) {
 		t.Fatal("exploration capped")
 	}
 	if len(res.Violations) == 0 {
-		t.Fatalf("explored %d interleavings without finding Stone's non-linearizable empty", res.Paths)
+		t.Fatalf("explored %d states without finding Stone's non-linearizable empty", res.Paths)
 	}
 	found := false
 	for _, v := range res.Violations {
@@ -171,7 +168,7 @@ func TestStoneExplorationFindsABALostItem(t *testing.T) {
 		}
 	}
 	if !duplicate {
-		t.Fatalf("explored %d interleavings without finding the ABA corruption", res.Paths)
+		t.Fatalf("explored %d states without finding the ABA corruption", res.Paths)
 	}
 }
 
@@ -218,7 +215,7 @@ func TestMCExplorationFindsBlockedStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Parked == 0 {
-		t.Fatalf("explored %d interleavings without finding MC's blocking window", res.Paths)
+		t.Fatalf("explored %d states without finding MC's blocking window", res.Paths)
 	}
 	// Complete interleavings must still be linearizable.
 	for _, v := range res.Violations {
@@ -337,9 +334,6 @@ func TestCheckMSInvariantsDetectsCorruption(t *testing.T) {
 }
 
 func TestTwoLockExhaustive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("~400k interleavings; skipped in -short")
-	}
 	// Both of the paper's contributions are model-checked: the two-lock
 	// queue must keep the structural invariants and produce only
 	// linearizable histories. Unlike the MS queue it *parks*: a process
@@ -372,7 +366,7 @@ func TestTwoLockExhaustive(t *testing.T) {
 	if res.Blocked != 0 {
 		t.Fatalf("deadlock found in the two-lock queue: %v", res.Violations)
 	}
-	t.Logf("explored %d interleavings, %d events, parked=%d", res.Paths, res.Events, res.Parked)
+	t.Logf("explored %d states, %d events, parked=%d", res.Paths, res.Events, res.Parked)
 }
 
 func TestTwoLockGraphInvariants(t *testing.T) {

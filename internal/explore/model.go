@@ -1,13 +1,15 @@
 // Package explore is a bounded model checker for the queue algorithms: it
-// enumerates every interleaving of a small workload at the granularity of
-// individual shared-memory events (reads, writes, compare_and_swaps) and
-// checks, mechanically, the claims of the paper's section 3:
+// searches every interleaving of a small workload at the granularity of
+// individual shared-memory events (reads, writes, compare_and_swaps),
+// visiting each distinct state (and, when checking histories, each distinct
+// order of history endpoints) once, and checks, mechanically, the claims of
+// the paper's section 3:
 //
 //   - safety — the five structural invariants of section 3.1 hold in every
 //     reachable state of the MS queue (list connected; insert only at the
 //     end; delete only from the beginning; Head first; Tail in list);
-//   - linearizability (section 3.2) — every complete interleaving's history
-//     is accepted by the exact checker in internal/linearizability;
+//   - linearizability (section 3.2) — every distinct complete history is
+//     accepted by the exact checker in internal/linearizability;
 //   - liveness (section 3.3) — the MS queue is non-blocking: in no
 //     reachable state is every unfinished process stuck in a read-only
 //     retry loop. For the blocking comparators (Mellor-Crummey's swap-link

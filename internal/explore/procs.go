@@ -189,9 +189,7 @@ func (p *Proc) localKey() string {
 }
 
 // entryPC returns the machine entry point for the process's next scripted
-// operation. It is the single source of truth for dispatch, shared by step
-// (which performs it) and nextAccess (which must predict the first event's
-// location footprint without mutating the process).
+// operation; step dispatches through it.
 func (p *Proc) entryPC() pc {
 	op := p.Ops[p.cur]
 	switch p.Algo {

@@ -22,7 +22,7 @@ import (
 //   - FAA is one event (it is one instruction); the reserve cannot fail.
 //   - The enqueuer's claimability check is one event reading the loaded
 //     slot word and Head (the real code loads Head only when the unsafe
-//     flag is set; the model's access declaration is conservative).
+//     flag is set, and so does the model).
 //   - A failed catch-up CAS and the two reloads that follow it are one
 //     event, as are the real threshold reset's load+store pair.
 //

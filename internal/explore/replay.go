@@ -14,8 +14,7 @@ import "fmt"
 // there, with the violation recorded; a schedule that completes every
 // script additionally gets the leaf linearizability check.
 func Replay(cfg Config, schedule []int) (Result, error) {
-	cfg.Mode = ModePaths // replay follows one path; graph memoisation is meaningless
-	cfg.DPOR = false
+	cfg.Mode = ModePaths // replay follows one path and checks its history
 	e, s, procs, err := newExplorer(cfg)
 	if err != nil {
 		return Result{}, err
@@ -90,7 +89,8 @@ func MinimizeSchedule(cfg Config, schedule []int, kind string) []int {
 }
 
 // minimizeViolations fills in Violation.Minimized for every recorded
-// finding (ModePaths only; Run calls it after a clean exploration pass).
+// finding (Run calls it after a clean exploration pass). Replay runs in
+// ModePaths, so graph-mode findings minimize too.
 func (e *explorer) minimizeViolations() {
 	for i := range e.res.Violations {
 		v := &e.res.Violations[i]
