@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal, quitCh <-chan 
 		maxConns   = fs.Int("maxconns", 0, "connection limit (0 = unlimited); over-limit dials are refused with ERR")
 		retryHint  = fs.Duration("hint", server.DefaultRetryHint, "base backoff hint carried in RETRY frames")
 		idle       = fs.Duration("idle", 0, "close connections idle longer than this (0 = never; frees -maxconns slots pinned by dead clients)")
-		writeTO    = fs.Duration("writetimeout", 0, "bound each write/flush to a connection (0 = never; a stalled reader otherwise pins its writer and the drain)")
+		writeTO    = fs.Duration("writetimeout", 0, "bound each write/flush to a connection (0 = never; a peer that stops reading otherwise pins its connection and the drain)")
 		drainTime  = fs.Duration("drain", 10*time.Second, "drain deadline on shutdown; backlog still undelivered after this is reported lost")
 		metricsRep = fs.Bool("metrics", false, "serve with a contention probe and print the report on shutdown")
 		adminAddr  = fs.String("admin", "", "admin listener address for /metrics, /healthz, /debug/pprof and /debug/events (empty = off)")

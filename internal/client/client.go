@@ -524,6 +524,9 @@ func (c *Client) EnqueueBatch(vs []int) (int, error) {
 			if err != nil {
 				return done, err
 			}
+			if n > len(chunk) {
+				return done, fmt.Errorf("client: ENQ_BATCH of %d values acknowledged %d", len(chunk), n)
+			}
 			done += n
 			if n < len(chunk) {
 				time.Sleep(sleeper.Next(0)) // partial accept: the queue is full
@@ -560,6 +563,9 @@ func (c *Client) DequeueBatch(dst []int) (int, error) {
 		vs, err := wire.DecodeValues(resp.Payload)
 		if err != nil {
 			return 0, err
+		}
+		if len(vs) > max {
+			return 0, fmt.Errorf("client: DEQ_BATCH of %d answered with %d values", max, len(vs))
 		}
 		for i, v := range vs {
 			dst[i] = int(v)

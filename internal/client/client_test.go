@@ -742,3 +742,54 @@ func TestBatchConservationAcrossMidFrameCutover(t *testing.T) {
 		t.Fatalf("client used %d connections, want >= 2 (the cut-over must force a redial)", conns)
 	}
 }
+
+// scriptedClient returns a client whose server answers every request frame
+// with reply(request).
+func scriptedClient(t *testing.T, reply func(wire.Frame) wire.Frame) *Client {
+	t.Helper()
+	c := New(Config{
+		Dial: func() (net.Conn, error) {
+			clientEnd, serverEnd := net.Pipe()
+			go func() {
+				defer serverEnd.Close()
+				var buf []byte
+				for {
+					f, newBuf, err := wire.Read(serverEnd, buf)
+					if err != nil {
+						return
+					}
+					buf = newBuf
+					if wire.Write(serverEnd, reply(f)) != nil {
+						return
+					}
+				}
+			}()
+			return clientEnd, nil
+		},
+	})
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestDequeueBatchRejectsOversizedReply: a VALUES reply longer than the
+// request asked for is an error, not a write past the caller's slice.
+func TestDequeueBatchRejectsOversizedReply(t *testing.T) {
+	c := scriptedClient(t, func(f wire.Frame) wire.Frame {
+		return wire.ValuesFrame(f.ID, make([]int64, 8))
+	})
+	if n, err := c.DequeueBatch(make([]int, 4)); err == nil {
+		t.Fatalf("DequeueBatch(4) answered with 8 values = %d, nil; want an error", n)
+	}
+}
+
+// TestEnqueueBatchRejectsOvercountedAck: an ACK counting more values than
+// the batch sent is an error, not more values reported acknowledged than
+// were sent.
+func TestEnqueueBatchRejectsOvercountedAck(t *testing.T) {
+	c := scriptedClient(t, func(f wire.Frame) wire.Frame {
+		return wire.AckCountFrame(f.ID, 5)
+	})
+	if n, err := c.EnqueueBatch([]int{1, 2}); err == nil {
+		t.Fatalf("EnqueueBatch of 2 values acknowledged 5 = %d, nil; want an error", n)
+	}
+}

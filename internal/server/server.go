@@ -5,14 +5,15 @@
 //
 // # Connection model
 //
-// Each accepted connection gets a reader goroutine (parses frames and
-// applies them to the queue in arrival order — per-connection FIFO, the
-// property the queue itself is about) and a writer goroutine (drains a
-// response channel into a buffered writer, flushing only when the channel
-// runs dry, so a pipelining client's responses are amortized into few
-// syscalls). The response channel's capacity is the server-side pipelining
-// window: a client that floods requests without reading responses
-// eventually blocks its own reader, not the server.
+// Each accepted connection is served by one goroutine that reads frames
+// through a buffered reader and applies them to the queue in arrival order
+// — per-connection FIFO, the property the queue itself is about. Responses
+// go into a buffered writer that is flushed only before a read that could
+// block, that is when the next request frame is not already buffered
+// whole, so a pipelining client's burst is answered in few syscalls and a
+// lone request is answered at once. A client that floods requests without
+// reading responses eventually blocks the flush, and with it its own
+// connection, not the server.
 //
 // # Backpressure
 //
@@ -39,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"slices"
 	"sync"
@@ -55,10 +55,6 @@ import (
 const (
 	// DefaultRetryHint is the base backoff hint sent in RETRY frames.
 	DefaultRetryHint = time.Millisecond
-	// outboundWindow is the per-connection response channel capacity: the
-	// number of responses a reader may compute ahead of the writer before
-	// it blocks (the server-side pipelining bound).
-	outboundWindow = 256
 	// maxHintShift caps the per-connection hint escalation at base<<6.
 	maxHintShift = 6
 )
@@ -85,11 +81,11 @@ type Config struct {
 	// WriteTimeout, when positive, bounds how long one write or flush to
 	// a connection may block — the mirror of IdleTimeout on the response
 	// side. Without it a peer that stops *reading* (a blackholed or
-	// stalled consumer with a full TCP window) pins the writer goroutine,
-	// and with it any values in flight to that consumer, forever — which
-	// would also wedge Drain, since those values count against the
-	// backlog. On expiry the write fails, the undelivered values are
-	// requeued, and the connection dies. 0 disables it.
+	// stalled consumer with a full TCP window) pins its connection's
+	// goroutine, and with it any values in flight to that consumer,
+	// forever — which would also wedge Drain, since those values count
+	// against the backlog. On expiry the write fails, the undelivered
+	// values are requeued, and the connection dies. 0 disables it.
 	WriteTimeout time.Duration
 	// Probe, when non-nil, records an event on every frame path (the
 	// metrics.Wire* sites) and the server-observed enqueue/dequeue
@@ -263,23 +259,58 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.cfg.Events.Record(telemetry.EvConnClose, id, 0, "")
 	}()
 
-	out := make(chan outMsg, outboundWindow)
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		s.writeLoop(conn, id, out)
-	}()
-	defer writerWG.Wait()
-	defer close(out)
-
 	c := &connState{id: id}
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	// armWrite bounds the next write or flush: a peer that has stopped
+	// reading (full TCP window, blackholed route) turns into a write error
+	// within WriteTimeout instead of pinning this goroutine — and the
+	// unflushed values, and therefore Drain — forever.
+	armWrite := func() {
+		if s.cfg.WriteTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		}
+	}
+	// unflushed holds the values of the responses written since the last
+	// flush. They settle the backlog only after a flush succeeds, and a
+	// failure puts them back in the queue: a dequeue the consumer never
+	// received must not count as delivered, or a graceful drain would
+	// declare victory while dropping acknowledged elements on the floor.
+	var unflushed []int64
+	flush := func() error {
+		armWrite()
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		if n := len(unflushed); n > 0 {
+			s.backlog.Add(-int64(n))
+			s.dequeued.Add(uint64(n))
+			s.cfg.Probe.Add(metrics.WireDeq, int64(n))
+			unflushed = unflushed[:0]
+		}
+		return nil
+	}
+	// Registered after the close so it runs first: a protocol error's ERR
+	// reaches the peer. After a failed write or flush, bw's error is sticky
+	// and fails this flush too, so the values of every unflushed response,
+	// the failing one included, are requeued.
+	defer func() {
+		if err := flush(); err != nil {
+			s.logf("flush to %v: %v", conn.RemoteAddr(), err)
+			s.requeue(id, unflushed)
+		}
+	}()
+
 	var buf []byte
 	for {
+		// Flush only before a read that could block, so a pipelined burst
+		// already in br is answered with one write.
+		if !wire.FrameBuffered(br) && flush() != nil {
+			return
+		}
 		if s.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		f, newBuf, err := wire.Read(conn, buf)
+		f, newBuf, err := wire.Read(br, buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				s.cfg.Events.Record(telemetry.EvIdleReap, id, int64(s.cfg.IdleTimeout), "")
@@ -297,26 +328,18 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return // clean close, torn frame, corruption, idle reap or our own teardown: stop reading either way
 		}
 		buf = newBuf
-		resp, fatal := s.handle(c, f)
-		out <- resp
-		if fatal {
+		resp, delivered, fatal := s.handle(c, f)
+		// The values join unflushed before the write: a failed write may
+		// have buffered or half-sent the frame.
+		unflushed = append(unflushed, delivered...)
+		armWrite()
+		if wire.Write(bw, resp) != nil || fatal {
 			return
 		}
 	}
 }
 
-// outMsg is one response in flight to the writer. deqVals carries the
-// values the frame delivers: the backlog they represent is settled only
-// after the frame is flushed to the connection, and a write failure puts
-// them back in the queue — a dequeue the consumer never received must not
-// count as delivered, or a graceful drain would declare victory while
-// dropping acknowledged elements on the floor.
-type outMsg struct {
-	frame   wire.Frame
-	deqVals []int64
-}
-
-// connState is per-connection bookkeeping owned by the reader goroutine.
+// connState is per-connection bookkeeping owned by its serving goroutine.
 type connState struct {
 	// id is the connection's admission serial (see Server.connSeq).
 	id uint64
@@ -324,29 +347,30 @@ type connState struct {
 	fulls int
 }
 
-// handle applies one request frame and returns the response plus whether
-// the connection must close after sending it (protocol errors).
-func (s *Server) handle(c *connState, f wire.Frame) (outMsg, bool) {
+// handle applies one request frame and returns the response, the values
+// it delivers, and whether the connection must close after sending it
+// (protocol errors).
+func (s *Server) handle(c *connState, f wire.Frame) (wire.Frame, []int64, bool) {
 	switch f.Type {
 	case wire.Enq:
 		v, err := wire.DecodeValue(f.Payload)
 		if err != nil {
-			return outMsg{frame: wire.ErrFrame(f.ID, err.Error())}, true
+			return wire.ErrFrame(f.ID, err.Error()), nil, true
 		}
 		if n := s.enqueue([]int64{v}); n == 0 {
-			return outMsg{frame: s.refuse(c, f.ID)}, false
+			return s.refuse(c, f.ID), nil, false
 		}
 		c.fulls = 0
-		return outMsg{frame: wire.AckFrame(f.ID)}, false
+		return wire.AckFrame(f.ID), nil, false
 
 	case wire.EnqBatch:
 		vs, err := wire.DecodeValues(f.Payload)
 		if err != nil {
-			return outMsg{frame: wire.ErrFrame(f.ID, err.Error())}, true
+			return wire.ErrFrame(f.ID, err.Error()), nil, true
 		}
 		n := s.enqueue(vs)
 		if n == 0 && len(vs) > 0 {
-			return outMsg{frame: s.refuse(c, f.ID)}, false
+			return s.refuse(c, f.ID), nil, false
 		}
 		// Reset the backoff hint only on full acceptance: a partial batch
 		// (n < len(vs)) proves the queue is full right now, and collapsing
@@ -355,35 +379,35 @@ func (s *Server) handle(c *connState, f wire.Frame) (outMsg, bool) {
 		if n == len(vs) && n > 0 {
 			c.fulls = 0
 		}
-		return outMsg{frame: wire.AckCountFrame(f.ID, n)}, false
+		return wire.AckCountFrame(f.ID, n), nil, false
 
 	case wire.Deq:
 		if v, ok := s.dequeueOne(); ok {
-			return outMsg{frame: wire.ValueFrame(f.ID, v), deqVals: []int64{v}}, false
+			return wire.ValueFrame(f.ID, v), []int64{v}, false
 		}
-		return outMsg{frame: wire.EmptyFrame(f.ID)}, false
+		return wire.EmptyFrame(f.ID), nil, false
 
 	case wire.DeqBatch:
 		max, err := wire.DecodeCount(f.Payload)
 		if err != nil {
-			return outMsg{frame: wire.ErrFrame(f.ID, err.Error())}, true
+			return wire.ErrFrame(f.ID, err.Error()), nil, true
 		}
 		vs := s.dequeueBatch(max)
 		if len(vs) == 0 {
-			return outMsg{frame: wire.EmptyFrame(f.ID)}, false
+			return wire.EmptyFrame(f.ID), nil, false
 		}
-		return outMsg{frame: wire.ValuesFrame(f.ID, vs), deqVals: vs}, false
+		return wire.ValuesFrame(f.ID, vs), vs, false
 
 	case wire.Stats:
 		s.cfg.Probe.Add(metrics.WireControl, 1)
-		return outMsg{frame: wire.StatsReplyFrame(f.ID, s.Counters())}, false
+		return wire.StatsReplyFrame(f.ID, s.Counters()), nil, false
 
 	case wire.Ping:
 		s.cfg.Probe.Add(metrics.WireControl, 1)
-		return outMsg{frame: wire.PongFrame(f.ID)}, false
+		return wire.PongFrame(f.ID), nil, false
 
 	default:
-		return outMsg{frame: wire.ErrFrame(f.ID, fmt.Sprintf("unexpected frame type %v", f.Type))}, true
+		return wire.ErrFrame(f.ID, fmt.Sprintf("unexpected frame type %v", f.Type)), nil, true
 	}
 }
 
@@ -511,12 +535,6 @@ func (s *Server) dequeueInto(dst []int) int {
 	return n
 }
 
-func (s *Server) settleDequeued(n int) {
-	s.backlog.Add(-int64(n))
-	s.dequeued.Add(uint64(n))
-	s.cfg.Probe.Add(metrics.WireDeq, int64(n))
-}
-
 // now is time.Now gated on the probe, so the unprobed hot path pays no
 // clock reads.
 func (s *Server) now() time.Time {
@@ -529,65 +547,6 @@ func (s *Server) now() time.Time {
 func (s *Server) observe(op metrics.Op, start time.Time) {
 	if !start.IsZero() {
 		s.cfg.Probe.Observe(op, time.Since(start))
-	}
-}
-
-// writeLoop drains out into conn, flushing only when no response is
-// immediately pending — the amortization that turns a pipelined burst
-// into one syscall. Delivered values are settled against the backlog only
-// after the flush that put them on the wire; values stuck in a dead
-// writer are put back in the queue (see outMsg).
-func (s *Server) writeLoop(conn net.Conn, id uint64, out <-chan outMsg) {
-	bw := newBufWriter(conn)
-	var unflushed []int64
-	// armWrite bounds the next write or flush: a peer that has stopped
-	// reading (full TCP window, blackholed route) turns into a write
-	// error within WriteTimeout instead of pinning this goroutine — and
-	// the unflushed values, and therefore Drain — forever.
-	armWrite := func() {
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-	}
-	fail := func(what string, err error) {
-		s.logf("%s to %v: %v", what, conn.RemoteAddr(), err)
-		s.requeue(id, unflushed)
-		// Keep consuming so the reader never blocks on a dead writer; it
-		// notices the broken connection itself and closes the channel.
-		for m := range out {
-			s.requeue(id, m.deqVals)
-		}
-	}
-	for m := range out {
-		// The frame's values join unflushed before the write attempt: a
-		// failed Write may have buffered or half-sent the frame, so its
-		// values are undelivered and must be requeued with the rest.
-		unflushed = append(unflushed, m.deqVals...)
-		armWrite()
-		if err := wire.Write(bw, m.frame); err != nil {
-			fail("write", err)
-			return
-		}
-		if len(out) == 0 {
-			armWrite()
-			if err := bw.Flush(); err != nil {
-				fail("flush", err)
-				return
-			}
-			if len(unflushed) > 0 {
-				s.settleDequeued(len(unflushed))
-				unflushed = unflushed[:0]
-			}
-		}
-	}
-	armWrite()
-	if err := bw.Flush(); err != nil {
-		s.logf("final flush to %v: %v", conn.RemoteAddr(), err)
-		s.requeue(id, unflushed)
-		return
-	}
-	if len(unflushed) > 0 {
-		s.settleDequeued(len(unflushed))
 	}
 }
 
@@ -620,10 +579,6 @@ func (s *Server) requeue(id uint64, vs []int64) {
 		s.logf("requeue: dropped %d undeliverable value(s), bounded queue full", lost)
 	}
 }
-
-// newBufWriter sizes the per-connection write buffer: large enough to
-// coalesce a pipelined burst of small frames into one syscall.
-func newBufWriter(w io.Writer) *bufio.Writer { return bufio.NewWriterSize(w, 32*1024) }
 
 // Counters snapshots the wire-path tallies. Quiescent reads are exact;
 // concurrent ones are approximate, like every counter in this module.

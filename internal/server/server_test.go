@@ -243,8 +243,8 @@ func TestDeqBatchMemoryBounded(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if resp, _ := s.handle(c, req); resp.frame.Type != wire.Empty {
-				t.Fatalf("%T: deq batch on empty = %v, want EMPTY", q, resp.frame.Type)
+			if resp, _, _ := s.handle(c, req); resp.Type != wire.Empty {
+				t.Fatalf("%T: deq batch on empty = %v, want EMPTY", q, resp.Type)
 			}
 		}
 		runtime.ReadMemStats(&after)
@@ -256,8 +256,8 @@ func TestDeqBatchMemoryBounded(t *testing.T) {
 		for v := 0; v < n; v++ {
 			q.Enqueue(v)
 		}
-		resp, _ := s.handle(c, req)
-		vs, err := wire.DecodeValues(resp.frame.Payload)
+		resp, _, _ := s.handle(c, req)
+		vs, err := wire.DecodeValues(resp.Payload)
 		if err != nil || len(vs) != n {
 			t.Fatalf("%T: deq batch returned %d values, %v; want %d", q, len(vs), err, n)
 		}
@@ -387,32 +387,61 @@ func TestConnLimit(t *testing.T) {
 	}
 }
 
+// fakeConn is a net.Conn that reads a fixed request stream and records
+// what is written to it. Reads return at most 64 bytes, so a stream of
+// small frames arrives a few frames at a time. With fail set, Write fails
+// once limit bytes have been written, as on a connection the peer reset.
+type fakeConn struct {
+	net.Conn // nil: ServeConn calls only the methods below
+	in       []byte
+	out      bytes.Buffer
+	fail     bool
+	limit    int
+}
+
+func (c *fakeConn) Read(p []byte) (int, error) {
+	if len(c.in) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), 64)], c.in)
+	c.in = c.in[n:]
+	return n, nil
+}
+
+func (c *fakeConn) Write(p []byte) (int, error) {
+	if c.fail && c.out.Len()+len(p) > c.limit {
+		n := max(c.limit-c.out.Len(), 0)
+		c.out.Write(p[:n])
+		return n, io.ErrClosedPipe
+	}
+	return c.out.Write(p)
+}
+
+func (c *fakeConn) Close() error                     { return nil }
+func (c *fakeConn) RemoteAddr() net.Addr             { return nil }
+func (c *fakeConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *fakeConn) SetWriteDeadline(time.Time) error { return nil }
+
 // TestWriteFailureRequeuesInFlight: when the frame write itself fails —
 // not just the trailing flush — the failing frame's dequeued values must
-// be requeued and their backlog conserved. A frame above the 32 KiB write
-// buffer makes wire.Write hit the dead connection directly, exercising the
-// write-error branch rather than the flush-error one.
+// be requeued and their backlog conserved. A VALUES frame above the write
+// buffer's size makes wire.Write hit the dead connection directly,
+// exercising the write-error branch rather than the flush-error one.
 func TestWriteFailureRequeuesInFlight(t *testing.T) {
+	const n = 8192 // a 64 KiB payload
 	s := New(Config{Queue: core.NewMS[int](), Logf: t.Logf})
-	vs := make([]int64, 8192) // 64 KiB payload > 32 KiB buffer
-	for i := range vs {
-		vs[i] = int64(i)
+	for i := 0; i < n; i++ {
+		s.cfg.Queue.Enqueue(i)
 	}
-	s.backlog.Add(int64(len(vs))) // as the enqueues that produced vs did
+	s.backlog.Add(n) // as the enqueues that produced the values did
 
-	clientEnd, srvEnd := net.Pipe()
-	clientEnd.Close() // every write to srvEnd now fails
-
-	out := make(chan outMsg, 1)
-	out <- outMsg{frame: wire.ValuesFrame(1, vs), deqVals: vs}
-	close(out)
-	s.writeLoop(srvEnd, 1, out)
+	s.ServeConn(&fakeConn{in: encodeFrames(t, wire.DeqBatchFrame(1, n)), fail: true})
 
 	if got := s.Lost(); got != 0 {
 		t.Fatalf("Lost = %d, want 0 (the unbounded queue takes everything back)", got)
 	}
-	if got := s.Backlog(); got != int64(len(vs)) {
-		t.Fatalf("Backlog = %d, want %d (undelivered values stay acknowledged)", got, len(vs))
+	if got := s.Backlog(); got != n {
+		t.Fatalf("Backlog = %d, want %d (undelivered values stay acknowledged)", got, n)
 	}
 	requeued := 0
 	for {
@@ -421,8 +450,94 @@ func TestWriteFailureRequeuesInFlight(t *testing.T) {
 		}
 		requeued++
 	}
-	if requeued != len(vs) {
-		t.Fatalf("requeued %d values, want %d: the failing frame's values leaked", requeued, len(vs))
+	if requeued != n {
+		t.Fatalf("requeued %d values, want %d: the failing frame's values leaked", requeued, n)
+	}
+}
+
+// encodeFrames returns the wire encoding of fs, back to back.
+func encodeFrames(t testing.TB, fs ...wire.Frame) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for _, f := range fs {
+		if err := wire.Write(&b, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// countingConn counts the Write calls that reach the connection.
+type countingConn struct {
+	net.Conn
+	writes *int
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	*c.writes++
+	return c.Conn.Write(p)
+}
+
+// TestPipelinedBurstIsOneWrite: requests that arrive together are answered
+// together. Sixteen frames sent in one Write are all buffered before the
+// server's first response, so it flushes once, before the read that would
+// block.
+func TestPipelinedBurstIsOneWrite(t *testing.T) {
+	const n = 16
+	s := New(Config{Queue: core.NewMS[int]()})
+	client, srvEnd := net.Pipe()
+	defer client.Close()
+	writes := 0 // read only after ServeConn has returned
+	done := make(chan struct{})
+	go func() { s.ServeConn(countingConn{srvEnd, &writes}); close(done) }()
+
+	burst := make([]wire.Frame, n)
+	for i := range burst {
+		burst[i] = wire.EnqFrame(uint64(i+1), int64(i))
+	}
+	if _, err := client.Write(encodeFrames(t, burst...)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for i := 1; i <= n; i++ {
+		f, newBuf, err := wire.Read(client, buf)
+		buf = newBuf
+		if err != nil || f.Type != wire.Ack || f.ID != uint64(i) {
+			t.Fatalf("response %d = %v id=%d, %v; want ACK id=%d", i, f.Type, f.ID, err, i)
+		}
+	}
+	client.Close()
+	<-done
+	if writes != 1 {
+		t.Fatalf("%d requests sent in one write were answered in %d writes, want 1", n, writes)
+	}
+}
+
+// TestPartialFrameDoesNotHoldBackResponse: a response is flushed before
+// the server waits for the rest of a frame that has begun to arrive. The
+// client sends frame A with the first bytes of frame B and must get A's
+// response before it sends the rest of B; a server that flushed only on an
+// empty read buffer would hold A's response behind B.
+func TestPartialFrameDoesNotHoldBackResponse(t *testing.T) {
+	s := New(Config{Queue: core.NewMS[int]()})
+	c := pipeServer(t, s)
+	for _, cut := range []int{1, 5, 17} { // in the header, at its end, one byte short
+		a, b := c.nextID(), c.nextID()
+		next := encodeFrames(t, wire.PingFrame(b))
+		if _, err := c.conn.Write(append(encodeFrames(t, wire.PingFrame(a)), next[:cut]...)); err != nil {
+			t.Fatal(err)
+		}
+		c.conn.SetReadDeadline(time.Now().Add(time.Second))
+		if f, _, err := wire.Read(c.conn, nil); err != nil || f.Type != wire.Pong || f.ID != a {
+			t.Fatalf("cut %d: response to the whole frame = %v id=%d, %v; want PONG id=%d before the rest of the next frame is sent", cut, f.Type, f.ID, err, a)
+		}
+		if _, err := c.conn.Write(next[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		if f, _, err := wire.Read(c.conn, nil); err != nil || f.Type != wire.Pong || f.ID != b {
+			t.Fatalf("cut %d: response to the completed frame = %v id=%d, %v; want PONG id=%d", cut, f.Type, f.ID, err, b)
+		}
+		c.conn.SetReadDeadline(time.Time{})
 	}
 }
 
@@ -612,8 +727,8 @@ func TestServeConnEnforcesMaxConns(t *testing.T) {
 }
 
 // TestWriteTimeoutUnpinsStalledReader: a peer that stops reading (net.Pipe
-// with no reader is the limit case of a full TCP window) must not pin the
-// writer goroutine — or Drain — forever. With WriteTimeout the flush
+// with no reader is the limit case of a full TCP window) must not pin its
+// connection's goroutine — or Drain — forever. With WriteTimeout the flush
 // fails, the in-flight value is requeued, and a drain completes with the
 // value still conserved.
 func TestWriteTimeoutUnpinsStalledReader(t *testing.T) {
@@ -626,15 +741,15 @@ func TestWriteTimeoutUnpinsStalledReader(t *testing.T) {
 	done := make(chan struct{})
 	go func() { s.ServeConn(srvEnd); close(done) }()
 
-	// Ask for the value, then never read the response: the writer's flush
-	// blocks on the pipe until the write deadline fires, the value is
-	// requeued, and the stalled connection's writer goroutine is free.
+	// Ask for the value, then never read the response: the flush blocks on
+	// the pipe until the write deadline fires, the value is requeued, and
+	// the stalled connection's goroutine is free.
 	if err := wire.Write(clientEnd, wire.DeqFrame(1)); err != nil {
 		t.Fatal(err)
 	}
 
 	// A healthy consumer picks the requeued value up. Before the deadline
-	// fires the queue is empty (the value is stuck in the stalled writer),
+	// fires the queue is empty (the value is stuck in the stalled flush),
 	// so poll.
 	healthy := pipeServer(t, s)
 	deadline := time.Now().Add(5 * time.Second)
@@ -651,7 +766,7 @@ func TestWriteTimeoutUnpinsStalledReader(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("WriteTimeout never requeued the value held by the stalled writer")
+			t.Fatal("WriteTimeout never requeued the value held by the stalled flush")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -665,7 +780,7 @@ func TestWriteTimeoutUnpinsStalledReader(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("Drain with a stalled reader = %v, want nil (WriteTimeout must unpin the writer)", err)
+		t.Fatalf("Drain with a stalled reader = %v, want nil (WriteTimeout must unpin the connection)", err)
 	}
 	<-done
 	clientEnd.Close()

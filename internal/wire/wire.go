@@ -41,6 +41,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -276,6 +277,15 @@ func Read(r io.Reader, buf []byte) (Frame, []byte, error) {
 		ID:      binary.BigEndian.Uint64(buf[1:9]),
 		Payload: buf[9:n],
 	}, buf, nil
+}
+
+// FrameBuffered reports whether br already holds a whole frame, so the next
+// Read from br cannot block. A serving loop flushes its responses when it
+// returns false: a bare br.Buffered() == 0 would hold them back behind a
+// frame whose first bytes have arrived and whose rest has not.
+func FrameBuffered(br *bufio.Reader) bool {
+	hdr, _ := br.Peek(min(br.Buffered(), headerSize)) // never waits for unbuffered bytes
+	return len(hdr) == headerSize && br.Buffered() >= headerSize+int(binary.BigEndian.Uint32(hdr[1:]))+crcSize
 }
 
 // --- payload encodings ---
