@@ -134,9 +134,8 @@ func BenchmarkMSEpoch(b *testing.B) {
 }
 
 // BenchmarkAblationBackoff is ablation A-1: the same single-lock queue
-// under the different lock algorithms — plain test_and_set, TTAS with
-// yielding backoff, TTAS with the paper's pure (non-yielding) backoff, the
-// MCS queue lock, and the runtime mutex.
+// under the catalog's three lockers — TTAS with yielding backoff, TTAS with
+// the paper's pure (non-yielding) backoff, and the runtime mutex.
 func BenchmarkAblationBackoff(b *testing.B) {
 	for _, name := range []string{"single-lock", "single-lock-pure", "single-lock-mutex"} {
 		info, err := algorithms.Lookup(name)

@@ -219,13 +219,25 @@ func TestAdminPlane(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	code, body := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics = %d", code)
-	}
-	vals, err := telemetry.ParseText(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("parse /metrics: %v", err)
+	// The server counts a dequeue only once the flush that carried it has
+	// returned, so the last reply can reach this client before the count
+	// does: scrape until the totals settle or the deadline passes.
+	var (
+		code int
+		body string
+		vals map[string]float64
+	)
+	for settleBy := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		code, body = get("/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("/metrics = %d", code)
+		}
+		if vals, err = telemetry.ParseText(strings.NewReader(body)); err != nil {
+			t.Fatalf("parse /metrics: %v", err)
+		}
+		if vals["queue_dequeues_total"] == 16 || time.Now().After(settleBy) {
+			break
+		}
 	}
 	if vals["queue_enqueues_total"] != 16 || vals["queue_dequeues_total"] != 16 {
 		t.Fatalf("enq/deq totals = %v/%v, want 16/16",

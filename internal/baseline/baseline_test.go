@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -12,12 +13,19 @@ import (
 )
 
 func TestSingleLockConformance(t *testing.T) {
-	for _, lockName := range locks.Names() {
-		lockName := lockName
-		t.Run(lockName, func(t *testing.T) {
+	for _, lk := range []struct {
+		name string
+		mk   func() sync.Locker
+	}{
+		{"tas", func() sync.Locker { return new(locks.TAS) }},
+		{"ttas", func() sync.Locker { return new(locks.TTAS) }},
+		{"ttas-pure", func() sync.Locker { return new(locks.TTASPure) }},
+		{"ticket", func() sync.Locker { return new(locks.Ticket) }},
+		{"mutex", func() sync.Locker { return new(sync.Mutex) }},
+	} {
+		t.Run(lk.name, func(t *testing.T) {
 			queuetest.Run(t, func(int) queue.Queue[int] {
-				l, _ := locks.New(lockName)
-				return baseline.NewSingleLock[int](l)
+				return baseline.NewSingleLock[int](lk.mk())
 			}, queuetest.Options{})
 		})
 	}

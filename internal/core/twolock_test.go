@@ -14,13 +14,19 @@ import (
 func TestTwoLockConformance(t *testing.T) {
 	// Run the suite once per lock algorithm the queue can be built with:
 	// the queue's correctness must not depend on the lock flavour.
-	for _, lockName := range locks.Names() {
-		lockName := lockName
-		t.Run(lockName, func(t *testing.T) {
+	for _, lk := range []struct {
+		name string
+		mk   func() sync.Locker
+	}{
+		{"tas", func() sync.Locker { return new(locks.TAS) }},
+		{"ttas", func() sync.Locker { return new(locks.TTAS) }},
+		{"ttas-pure", func() sync.Locker { return new(locks.TTASPure) }},
+		{"ticket", func() sync.Locker { return new(locks.Ticket) }},
+		{"mutex", func() sync.Locker { return new(sync.Mutex) }},
+	} {
+		t.Run(lk.name, func(t *testing.T) {
 			queuetest.Run(t, func(int) queue.Queue[int] {
-				h, _ := locks.New(lockName)
-				l, _ := locks.New(lockName)
-				return core.NewTwoLock[int](h, l)
+				return core.NewTwoLock[int](lk.mk(), lk.mk())
 			}, queuetest.Options{})
 		})
 	}

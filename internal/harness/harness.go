@@ -94,14 +94,6 @@ type Result struct {
 	Metrics *metrics.Snapshot
 }
 
-// PerPair returns the net time per enqueue/dequeue pair.
-func (r Result) PerPair() time.Duration {
-	if r.Pairs == 0 {
-		return 0
-	}
-	return r.Net / time.Duration(r.Pairs)
-}
-
 // payload encodes (process id, iteration) into a queue value that is
 // unique across the run: iteration-major, process-minor, i.e. i*procs+id,
 // which enumerates 0..Pairs-1 (plus at most procs-1 slack from uneven

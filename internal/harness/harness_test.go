@@ -109,16 +109,6 @@ func TestNetSubtractsOtherWork(t *testing.T) {
 	}
 }
 
-func TestPerPair(t *testing.T) {
-	r := Result{Pairs: 1000, Net: time.Millisecond}
-	if got := r.PerPair(); got != time.Microsecond {
-		t.Fatalf("PerPair = %v", got)
-	}
-	if got := (Result{}).PerPair(); got != 0 {
-		t.Fatalf("zero Result PerPair = %v", got)
-	}
-}
-
 func TestRunEveryPaperAlgorithm(t *testing.T) {
 	for _, info := range algorithms.Paper() {
 		info := info

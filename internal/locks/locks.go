@@ -1,22 +1,21 @@
-// Package locks provides the mutual-exclusion algorithms used by the
-// lock-based queues: test_and_set, test-and-test_and_set with bounded
-// exponential backoff (the configuration used in the paper's experiments),
-// a ticket lock, and the MCS list-based queue lock [12].
+// Package locks provides the lock the paper's lock-based queues run on:
+// test-and-test_and_set with bounded exponential backoff, in a yielding form
+// (TTAS) and in the pure-spin form the paper measured (TTASPure), plus two
+// simpler spin locks, test_and_set (TAS) and the FIFO ticket lock (Ticket).
 //
-// All locks satisfy sync.Locker, so the two-lock queue and the single-lock
-// queue are parameterised over them, and sync.Mutex can be dropped in as an
+// All satisfy sync.Locker, so the two-lock queue and the single-lock queue
+// are parameterised over them, and sync.Mutex can be dropped in as an
 // additional comparator.
 //
-// Spin loops yield the processor after a bounded number of failures. On a
-// multiprogrammed system (more runnable goroutines than GOMAXPROCS) a pure
-// spin can burn its whole scheduling quantum waiting for a preempted lock
-// holder; yielding is the spin-lock analogue of the paper's observation that
-// blocking algorithms need scheduler cooperation.
+// Every spin loop except TTASPure's yields the processor after a bounded
+// number of failures. On a multiprogrammed system (more runnable goroutines
+// than GOMAXPROCS) a pure spin can burn its whole scheduling quantum waiting
+// for a preempted lock holder; yielding is the spin-lock analogue of the
+// paper's observation that blocking algorithms need scheduler cooperation.
 package locks
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"msqueue/internal/backoff"
@@ -25,60 +24,12 @@ import (
 	"msqueue/internal/pad"
 )
 
-// PointLockAcquired is the trace point the instrumented spin locks (TAS,
-// TTAS, TTASPure) fire immediately after winning the lock. A goroutine
-// crash-stopped here halts while *holding* the lock — the paper's
-// inopportune moment for any lock-based algorithm — so the chaos engine
-// can demonstrate stall propagation without the enclosing queue's
-// cooperation.
+// PointLockAcquired is the trace point TAS, TTAS and TTASPure fire
+// immediately after winning the lock. A goroutine crash-stopped here halts while
+// *holding* the lock — the paper's inopportune moment for any lock-based
+// algorithm — so the chaos engine can demonstrate stall propagation without
+// the enclosing queue's cooperation.
 const PointLockAcquired inject.Point = "lock:acquired"
-
-// Locker is the mutual-exclusion contract shared by all locks in this
-// package; it is identical to sync.Locker and exists so that callers inside
-// this module do not need to import sync just for the interface name.
-type Locker = sync.Locker
-
-// Compile-time interface checks.
-var (
-	_ Locker = (*TAS)(nil)
-	_ Locker = (*TTAS)(nil)
-	_ Locker = (*TTASPure)(nil)
-	_ Locker = (*Ticket)(nil)
-	_ Locker = (*MCS)(nil)
-	_ Locker = (*Anderson)(nil)
-	_ Locker = (*CLH)(nil)
-)
-
-// New constructs a lock by name: "tas", "ttas", "ttas-pure", "ticket",
-// "mcs", "anderson", "clh", or "mutex" (the Go runtime mutex). It reports
-// false for unknown names.
-func New(name string) (Locker, bool) {
-	switch name {
-	case "tas":
-		return new(TAS), true
-	case "ttas":
-		return new(TTAS), true
-	case "ttas-pure":
-		return new(TTASPure), true
-	case "ticket":
-		return new(Ticket), true
-	case "mcs":
-		return new(MCS), true
-	case "anderson":
-		return NewAnderson(0), true
-	case "clh":
-		return NewCLH(), true
-	case "mutex":
-		return new(sync.Mutex), true
-	default:
-		return nil, false
-	}
-}
-
-// Names lists the lock names accepted by New.
-func Names() []string {
-	return []string{"tas", "ttas", "ttas-pure", "ticket", "mcs", "anderson", "clh", "mutex"}
-}
 
 // TAS is a plain test_and_set spin lock: every acquisition attempt performs
 // an atomic exchange, generating cache-line traffic on every probe. It is
@@ -164,19 +115,10 @@ func (l *TTAS) Unlock() {
 // its entire scheduling quantum spinning against a preempted holder — the
 // degradation mechanism behind the paper's Figures 4 and 5. It exists for
 // the multiprogramming experiments; production code should prefer TTAS.
+// Only Lock differs; SetProbe, SetTracer and Unlock are TTAS's.
 type TTASPure struct {
-	state atomic.Int32
-	_     pad.Line
-	probe *metrics.Probe
-	tr    inject.Tracer
+	TTAS
 }
-
-// SetProbe installs a contention probe (see TTAS.SetProbe).
-func (l *TTASPure) SetProbe(p *metrics.Probe) { l.probe = p }
-
-// SetTracer installs a fault-injection tracer (PointLockAcquired). Call
-// before sharing the lock.
-func (l *TTASPure) SetTracer(tr inject.Tracer) { l.tr = tr }
 
 // Lock acquires the lock, spinning with backoff but never yielding.
 func (l *TTASPure) Lock() {
@@ -191,11 +133,6 @@ func (l *TTASPure) Lock() {
 		l.probe.Add(metrics.LockSpin, 1)
 		bo.WaitNoYield()
 	}
-}
-
-// Unlock releases the lock.
-func (l *TTASPure) Unlock() {
-	l.state.Store(0)
 }
 
 // Ticket is a fair FIFO spin lock: acquirers take a ticket with
@@ -224,115 +161,5 @@ func (l *Ticket) Unlock() {
 	l.owner.Add(1)
 }
 
-// MCS is the Mellor-Crummey & Scott list-based queue lock [12]: each waiter
-// enqueues a record with fetch_and_store on the tail and spins on a flag in
-// its own record, so each processor spins on a distinct cache line. The
-// lock-holder's record is remembered in the lock so that MCS satisfies the
-// two-argument-free sync.Locker interface.
-type MCS struct {
-	tail atomic.Pointer[mcsNode]
-	_    pad.Line
-	// owner is the record of the current holder; written only after
-	// acquisition and read only by the holder in Unlock, so it needs no
-	// synchronisation beyond the lock itself.
-	owner *mcsNode
-}
-
-type mcsNode struct {
-	next    atomic.Pointer[mcsNode]
-	blocked atomic.Bool
-	_       pad.Line
-}
-
-// Lock appends the caller to the waiter list and spins on its own record.
-func (l *MCS) Lock() {
-	n := &mcsNode{}
-	n.blocked.Store(true)
-	prev := l.tail.Swap(n)
-	if prev != nil {
-		prev.next.Store(n)
-		fails := 0
-		for n.blocked.Load() {
-			fails++
-			if fails%spinYieldEvery == 0 {
-				runtime.Gosched()
-			}
-		}
-	}
-	l.owner = n
-}
-
-// Unlock hands the lock to the successor, waiting out the window in which a
-// successor has swapped the tail but not yet linked itself.
-func (l *MCS) Unlock() {
-	n := l.owner
-	l.owner = nil
-	if n.next.Load() == nil {
-		if l.tail.CompareAndSwap(n, nil) {
-			return
-		}
-		// A successor exists but has not linked itself yet; wait for the
-		// link. This window is a handful of instructions in the successor.
-		fails := 0
-		for n.next.Load() == nil {
-			fails++
-			if fails%spinYieldEvery == 0 {
-				runtime.Gosched()
-			}
-		}
-	}
-	n.next.Load().blocked.Store(false)
-}
-
-// CLH is the Craig–Landin–Hagersten queue lock: the implicit-list
-// counterpart of MCS. A waiter swaps its own record onto the tail and spins
-// on its *predecessor's* record, so handoff needs no successor discovery at
-// all — MCS's swap-to-link window disappears. The original recycles records
-// (the releaser adopts its predecessor's); with a garbage collector each
-// acquisition simply allocates a fresh record and strays are reclaimed.
-type CLH struct {
-	tail atomic.Pointer[clhNode]
-	_    pad.Line
-	// node is the holder's record; written only after acquisition and read
-	// only by the holder in Unlock, like MCS's owner field.
-	node *clhNode
-}
-
-type clhNode struct {
-	locked atomic.Bool
-	_      pad.Line
-}
-
-// NewCLH returns an unlocked CLH lock.
-func NewCLH() *CLH {
-	l := &CLH{}
-	l.tail.Store(&clhNode{}) // an initially released sentinel
-	return l
-}
-
-// Lock enqueues the caller's record and spins on the predecessor's.
-func (l *CLH) Lock() {
-	n := &clhNode{}
-	n.locked.Store(true)
-	pred := l.tail.Swap(n)
-	fails := 0
-	for pred.locked.Load() {
-		fails++
-		if fails%spinYieldEvery == 0 {
-			runtime.Gosched()
-		}
-	}
-	l.node = n
-}
-
-// Unlock releases the lock by clearing the holder's record, on which the
-// successor (if any) is spinning.
-func (l *CLH) Unlock() {
-	n := l.node
-	l.node = nil
-	n.locked.Store(false)
-}
-
-// spinYieldEvery bounds how long any spin loop in this package runs before
-// yielding the processor.
+// spinYieldEvery bounds how long TAS and Ticket spin before yielding.
 const spinYieldEvery = 64

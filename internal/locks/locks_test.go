@@ -5,27 +5,49 @@ import (
 	"sync"
 	"testing"
 
+	"msqueue/internal/inject"
 	"msqueue/internal/metrics"
 )
 
-func TestNew(t *testing.T) {
-	for _, name := range Names() {
-		l, ok := New(name)
-		if !ok || l == nil {
-			t.Fatalf("New(%q) = %v, %v", name, l, ok)
-		}
+type lockCase struct {
+	name string
+	lock sync.Locker
+}
+
+// allLocks returns a fresh, unlocked instance of each lock in the package,
+// plus the runtime mutex the queues also accept.
+func allLocks() []lockCase {
+	return []lockCase{
+		{"tas", new(TAS)},
+		{"ttas", new(TTAS)},
+		{"ttas-pure", new(TTASPure)},
+		{"ticket", new(Ticket)},
+		{"mutex", new(sync.Mutex)},
 	}
-	if _, ok := New("nope"); ok {
-		t.Fatal(`New("nope") succeeded`)
+}
+
+type spinLockCase struct {
+	name string
+	lock interface {
+		sync.Locker
+		SetProbe(*metrics.Probe)
+		SetTracer(inject.Tracer)
+	}
+}
+
+// spinLocks returns a fresh, unlocked instance of each instrumented lock.
+func spinLocks() []spinLockCase {
+	return []spinLockCase{
+		{"tas", new(TAS)},
+		{"ttas", new(TTAS)},
+		{"ttas-pure", new(TTASPure)},
 	}
 }
 
 func TestMutualExclusion(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range allLocks() {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			l, _ := New(name)
 			const (
 				workers = 8
 				rounds  = 10000
@@ -39,9 +61,9 @@ func TestMutualExclusion(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < rounds; i++ {
-						l.Lock()
+						tc.lock.Lock()
 						counter++
-						l.Unlock()
+						tc.lock.Unlock()
 					}
 				}()
 			}
@@ -54,11 +76,10 @@ func TestMutualExclusion(t *testing.T) {
 }
 
 func TestSequentialReacquire(t *testing.T) {
-	for _, name := range Names() {
-		l, _ := New(name)
+	for _, tc := range allLocks() {
 		for i := 0; i < 100; i++ {
-			l.Lock()
-			l.Unlock() //nolint:staticcheck // exercising bare handoff
+			tc.lock.Lock()
+			tc.lock.Unlock() //nolint:staticcheck // exercising bare handoff
 		}
 	}
 }
@@ -66,11 +87,9 @@ func TestSequentialReacquire(t *testing.T) {
 func TestCriticalSectionSeesPriorWrites(t *testing.T) {
 	// The lock must order memory: a value written inside one critical
 	// section is visible in the next, on every lock type.
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range allLocks() {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			l, _ := New(name)
 			var (
 				data [64]int
 				sum  int
@@ -81,10 +100,10 @@ func TestCriticalSectionSeesPriorWrites(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < 1000; i++ {
-						l.Lock()
+						tc.lock.Lock()
 						data[(w*1000+i)%64]++
 						sum++
-						l.Unlock()
+						tc.lock.Unlock()
 					}
 				}(w)
 			}
@@ -143,143 +162,11 @@ func TestTicketIsFIFO(t *testing.T) {
 	}
 }
 
-func TestMCSHandoff(t *testing.T) {
-	// A chain of acquisitions must all complete (no lost wakeups in the
-	// swap/link window).
-	var l MCS
-	const workers = 16
-	var (
-		wg    sync.WaitGroup
-		count int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				l.Lock()
-				count++
-				l.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if count != workers*500 {
-		t.Fatalf("count = %d, want %d", count, workers*500)
-	}
-}
-
-func BenchmarkLocks(b *testing.B) {
-	for _, name := range Names() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			l, _ := New(name)
-			var shared int
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					l.Lock()
-					shared++
-					l.Unlock()
-				}
-			})
-			_ = shared
-		})
-	}
-}
-
-func TestAndersonFIFOHandoff(t *testing.T) {
-	// Waiters queued one at a time must acquire in arrival order.
-	l := NewAnderson(8)
-	l.Lock()
-
-	const waiters = 5
-	var (
-		order []int
-		mu    sync.Mutex
-		ready sync.WaitGroup
-		done  sync.WaitGroup
-	)
-	for i := 0; i < waiters; i++ {
-		i := i
-		ready.Add(1)
-		done.Add(1)
-		go func() {
-			t := l.next.Add(1) - 1
-			slot := t % uint64(len(l.slots))
-			ready.Done()
-			for !l.slots[slot].granted.Load() {
-				runtime.Gosched()
-			}
-			l.owner = slot
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			l.Unlock()
-			done.Done()
-		}()
-		ready.Wait()
-	}
-	l.Unlock()
-	done.Wait()
-
-	for i := 1; i < len(order); i++ {
-		if order[i-1] >= order[i] {
-			t.Fatalf("acquisition order %v is not FIFO", order)
-		}
-	}
-}
-
-func TestAndersonDefaultSlots(t *testing.T) {
-	l := NewAnderson(0)
-	if len(l.slots) != DefaultAndersonSlots {
-		t.Fatalf("slots = %d, want %d", len(l.slots), DefaultAndersonSlots)
-	}
-	l.Lock()
-	l.Unlock()
-}
-
-func TestCLHFIFOChain(t *testing.T) {
-	// Handoff through a chain of waiters must complete without lost
-	// wakeups; CLH has no swap-to-link window at all.
-	l := NewCLH()
-	const workers = 12
-	var (
-		wg    sync.WaitGroup
-		count int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				l.Lock()
-				count++
-				l.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if count != workers*400 {
-		t.Fatalf("count = %d, want %d", count, workers*400)
-	}
-}
-
 // TestProbeCountsLockSpins pins the LockSpin site deterministically for
-// each instrumented lock: while the lock is held, a second acquirer must
-// record at least one failed attempt before it gets the lock.
+// each lock: while the lock is held, a second acquirer must record at least
+// one failed attempt before it gets the lock.
 func TestProbeCountsLockSpins(t *testing.T) {
-	cases := []struct {
-		name string
-		lock interface {
-			sync.Locker
-			SetProbe(*metrics.Probe)
-		}
-	}{
-		{"tas", new(TAS)},
-		{"ttas", new(TTAS)},
-		{"ttas-pure", new(TTASPure)},
-	}
-	for _, tc := range cases {
+	for _, tc := range spinLocks() {
 		t.Run(tc.name, func(t *testing.T) {
 			p := metrics.NewProbe()
 			tc.lock.SetProbe(p)
@@ -291,9 +178,8 @@ func TestProbeCountsLockSpins(t *testing.T) {
 				close(acquired)
 			}()
 			// Wait until the contender has observably failed at least once;
-			// all three locks yield (TTASPure's backoff still counts before
-			// its first pure spin episode ends), so this terminates even on
-			// GOMAXPROCS=1.
+			// each lock counts a failed attempt before it backs off or
+			// yields, so this terminates even on GOMAXPROCS=1.
 			for p.Site(metrics.LockSpin) == 0 {
 				runtime.Gosched()
 			}
@@ -305,5 +191,61 @@ func TestProbeCountsLockSpins(t *testing.T) {
 				t.Fatalf("LockSpin = %d, want >= 1", got)
 			}
 		})
+	}
+}
+
+// TestTracerCountsEachAcquisition pins PointLockAcquired, the chaos
+// adversary's "holding the lock" crash-stop point: every Lock, contended or
+// not, must reach it exactly once, and failed attempts must not.
+func TestTracerCountsEachAcquisition(t *testing.T) {
+	for _, tc := range spinLocks() {
+		t.Run(tc.name, func(t *testing.T) {
+			var c inject.Counter
+			tc.lock.SetTracer(&c)
+			const (
+				workers = 4
+				rounds  = 500
+			)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						tc.lock.Lock()
+						tc.lock.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			if got := c.Count(PointLockAcquired); got != workers*rounds {
+				t.Fatalf("%s visits = %d, want %d (one per Lock)", PointLockAcquired, got, workers*rounds)
+			}
+		})
+	}
+}
+
+func BenchmarkLocks(b *testing.B) {
+	for _, tc := range allLocks() {
+		b.Run(tc.name, func(b *testing.B) {
+			var shared int
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					tc.lock.Lock()
+					shared++
+					tc.lock.Unlock()
+				}
+			})
+			_ = shared
+		})
+	}
+}
+
+func BenchmarkTTASUncontended(b *testing.B) {
+	l := new(TTAS)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Lock()
+		l.Unlock()
 	}
 }

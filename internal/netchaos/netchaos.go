@@ -185,9 +185,6 @@ func (in *Injector) Seed() int64 { return in.cfg.Seed }
 // does not come back). Used to quiesce the fault phase before a drain.
 func (in *Injector) Disable() { in.enabled.Store(false) }
 
-// Enable resumes injection.
-func (in *Injector) Enable() { in.enabled.Store(true) }
-
 // Count reports how many times fault f has been injected.
 func (in *Injector) Count(f Fault) int64 { return in.counts[f].Load() }
 

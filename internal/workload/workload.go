@@ -54,9 +54,6 @@ func (s *Spinner) Spin() {
 	spin(s.itersPerWork)
 }
 
-// Iterations reports the calibrated iteration count (for logging).
-func (s *Spinner) Iterations() int { return s.itersPerWork }
-
 func spin(n int) {
 	var acc uint64 = 1
 	for i := 0; i < n; i++ {

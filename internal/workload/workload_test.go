@@ -7,8 +7,8 @@ import (
 
 func TestCalibrateZeroIsNoop(t *testing.T) {
 	s := Calibrate(0)
-	if s.Iterations() != 0 {
-		t.Fatalf("Iterations = %d, want 0", s.Iterations())
+	if s.itersPerWork != 0 {
+		t.Fatalf("itersPerWork = %d, want 0", s.itersPerWork)
 	}
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
@@ -20,15 +20,15 @@ func TestCalibrateZeroIsNoop(t *testing.T) {
 }
 
 func TestCalibrateNegativeIsNoop(t *testing.T) {
-	if got := Calibrate(-time.Second).Iterations(); got != 0 {
-		t.Fatalf("Iterations = %d, want 0", got)
+	if got := Calibrate(-time.Second).itersPerWork; got != 0 {
+		t.Fatalf("itersPerWork = %d, want 0", got)
 	}
 }
 
 func TestCalibrateProducesPositiveIterations(t *testing.T) {
 	s := Calibrate(DefaultOtherWork)
-	if s.Iterations() < 1 {
-		t.Fatalf("Iterations = %d, want >= 1", s.Iterations())
+	if s.itersPerWork < 1 {
+		t.Fatalf("itersPerWork = %d, want >= 1", s.itersPerWork)
 	}
 }
 
@@ -51,8 +51,8 @@ func TestSpinDurationIsRoughlyCalibrated(t *testing.T) {
 func TestLongerTargetsSpinLonger(t *testing.T) {
 	short := Calibrate(2 * time.Microsecond)
 	long := Calibrate(60 * time.Microsecond)
-	if long.Iterations() <= short.Iterations() {
+	if long.itersPerWork <= short.itersPerWork {
 		t.Fatalf("60µs spinner has %d iterations, 2µs has %d; want monotone",
-			long.Iterations(), short.Iterations())
+			long.itersPerWork, short.itersPerWork)
 	}
 }

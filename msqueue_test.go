@@ -31,7 +31,7 @@ func TestNewTwoLockWithSpinLocks(t *testing.T) {
 
 func TestNewTwoLockWithExplicitLocks(t *testing.T) {
 	q := msqueue.NewTwoLock[string](
-		msqueue.WithHeadLock(new(locks.Ticket)),
+		msqueue.WithHeadLock(new(locks.TTAS)),
 		msqueue.WithTailLock(&sync.Mutex{}),
 	)
 	q.Enqueue("a")
