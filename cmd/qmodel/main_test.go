@@ -1,68 +1,31 @@
 package main
 
 import (
+	"io"
+	"strings"
 	"testing"
-
-	"msqueue/internal/explore"
 )
 
-func TestRunAllScenariosMeetExpectations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full model-checking suite is expensive")
-	}
-	code, err := run([]string{"-algo", "all"})
+// TestRunPrintsOneAlgorithm is the CLI smoke test: -algo selects that
+// algorithm's rows of explore.Scenarios (the table test in
+// internal/explore asserts every row's verdict).
+func TestRunPrintsOneAlgorithm(t *testing.T) {
+	var out strings.Builder
+	code, err := run([]string{"-algo", "mc"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 0 {
-		t.Fatalf("exit code = %d: some scenario missed its expected verdict", code)
+		t.Fatalf("exit code = %d, want 0; output:\n%s", code, out.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "BLOCKS  mc/paths/enq-vs-deq ") {
+		t.Fatalf("want exactly the mc row, got:\n%s", out.String())
 	}
 }
 
 func TestRunRejectsUnknownAlgo(t *testing.T) {
-	if _, err := run([]string{"-algo", "nope"}); err == nil {
+	if _, err := run([]string{"-algo", "nope"}, io.Discard); err == nil {
 		t.Fatal("want error")
-	}
-}
-
-func TestClassify(t *testing.T) {
-	clean := explore.Result{}
-	raced := explore.Result{Violations: []explore.Violation{{Kind: "linearizability"}}}
-	parked := explore.Result{Parked: 3}
-	capped := explore.Result{Capped: true}
-
-	tests := []struct {
-		name   string
-		res    explore.Result
-		expect string
-		wantOK bool
-	}{
-		{name: "clean meets clean", res: clean, expect: "clean", wantOK: true},
-		{name: "raced fails clean", res: raced, expect: "clean", wantOK: false},
-		{name: "parked fails clean", res: parked, expect: "clean", wantOK: false},
-		{name: "capped fails clean", res: capped, expect: "clean", wantOK: false},
-		{name: "raced meets races", res: raced, expect: "races", wantOK: true},
-		{name: "clean fails races", res: clean, expect: "races", wantOK: false},
-		{name: "parked meets blocking", res: parked, expect: "blocking", wantOK: true},
-		{name: "clean fails blocking", res: clean, expect: "blocking", wantOK: false},
-		{name: "unknown expectation", res: clean, expect: "???", wantOK: false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, ok := classify(tt.res, tt.expect); ok != tt.wantOK {
-				t.Fatalf("classify ok = %v, want %v", ok, tt.wantOK)
-			}
-		})
-	}
-}
-
-func TestScenariosCoverEveryAlgo(t *testing.T) {
-	for _, algo := range []explore.Algo{explore.AlgoMS, explore.AlgoTwoLock, explore.AlgoValois, explore.AlgoStone, explore.AlgoMC} {
-		if len(scenarios(algo)) == 0 {
-			t.Fatalf("no scenarios for %v", algo)
-		}
-	}
-	if scenarios(explore.Algo(42)) != nil {
-		t.Fatal("unknown algo should have no scenarios")
 	}
 }

@@ -18,10 +18,8 @@ func TestTwoLockConformance(t *testing.T) {
 		name string
 		mk   func() sync.Locker
 	}{
-		{"tas", func() sync.Locker { return new(locks.TAS) }},
 		{"ttas", func() sync.Locker { return new(locks.TTAS) }},
 		{"ttas-pure", func() sync.Locker { return new(locks.TTASPure) }},
-		{"ticket", func() sync.Locker { return new(locks.Ticket) }},
 		{"mutex", func() sync.Locker { return new(sync.Mutex) }},
 	} {
 		t.Run(lk.name, func(t *testing.T) {

@@ -35,33 +35,6 @@ func TestMSExhaustivePairPerProcess(t *testing.T) {
 	t.Logf("explored %d states, %d events", res.Paths, res.Events)
 }
 
-func TestMSExhaustiveThreeProcesses(t *testing.T) {
-	// Graph mode: the state space of three processes is explored with
-	// memoisation, checking the section 3.1 invariants in every reachable
-	// state and confirming no blocked states exist.
-	res, err := Run(Config{
-		Algo: AlgoMS,
-		Mode: ModeGraph,
-		Scripts: [][]OpSpec{
-			{Enq(1)},
-			{Enq(2)},
-			{Deq(), Deq()},
-		},
-		ArenaSize:       4,
-		CheckInvariants: CheckMSInvariants,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capped {
-		t.Fatal("exploration capped")
-	}
-	if res.Blocked != 0 || res.Parked != 0 || len(res.Violations) != 0 {
-		t.Fatalf("blocked=%d parked=%d violations=%v", res.Blocked, res.Parked, res.Violations)
-	}
-	t.Logf("explored %d states, %d events", res.Paths, res.Events)
-}
-
 func TestMSExhaustiveEmptyReports(t *testing.T) {
 	// Dequeues racing an enqueue: empty reports must always be legal.
 	res, err := Run(Config{
@@ -78,166 +51,6 @@ func TestMSExhaustiveEmptyReports(t *testing.T) {
 	}
 	if res.Blocked != 0 || res.Parked != 0 || len(res.Violations) != 0 {
 		t.Fatalf("blocked=%d parked=%d violations=%v", res.Blocked, res.Parked, res.Violations)
-	}
-}
-
-func TestMSExhaustiveTinyArenaForcesReuse(t *testing.T) {
-	// Arena of 2: every enqueue after the first reuses a just-freed slot,
-	// maximising ABA pressure on the counters.
-	res, err := Run(Config{
-		Algo: AlgoMS,
-		Mode: ModeGraph,
-		Scripts: [][]OpSpec{
-			{Enq(1), Deq(), Enq(3), Deq()},
-			{Enq(2), Deq()},
-		},
-		ArenaSize:       3,
-		CheckInvariants: CheckMSInvariants,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capped {
-		t.Fatal("exploration capped")
-	}
-	if res.Blocked != 0 || res.Parked != 0 || len(res.Violations) != 0 {
-		t.Fatalf("blocked=%d parked=%d violations=%v", res.Blocked, res.Parked, res.Violations)
-	}
-	t.Logf("explored %d states, %d events", res.Paths, res.Events)
-}
-
-func TestStoneExplorationFindsNonLinearizableEmpty(t *testing.T) {
-	// The paper: "a slow enqueuer may cause a faster process to enqueue an
-	// item and subsequently observe an empty queue". Process 1 completes
-	// Enq(2) and then dequeues; in some interleaving with process 0's
-	// stalled Enq(1) it must observe the illegal empty.
-	res, err := Run(Config{
-		Algo: AlgoStone,
-		Scripts: [][]OpSpec{
-			{Enq(1)},
-			{Enq(2), Deq()},
-		},
-		ArenaSize: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capped {
-		t.Fatal("exploration capped")
-	}
-	if len(res.Violations) == 0 {
-		t.Fatalf("explored %d states without finding Stone's non-linearizable empty", res.Paths)
-	}
-	found := false
-	for _, v := range res.Violations {
-		if v.Kind == "linearizability" && strings.Contains(v.Detail, "empty") {
-			found = true
-			t.Logf("found: %v", v)
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("violations found, but not the illegal-empty one: %v", res.Violations)
-	}
-}
-
-func TestStoneExplorationFindsABALostItem(t *testing.T) {
-	// The ABA race the paper reports: a slow dequeuer's counter-less CAS
-	// succeeds after its node was dequeued, freed, reused, and became Head
-	// again — re-delivering a dequeued value and corrupting the queue.
-	res, err := Run(Config{
-		Algo: AlgoStone,
-		Scripts: [][]OpSpec{
-			{Deq()},
-			{Enq(1), Deq(), Enq(2), Deq()},
-		},
-		ArenaSize: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capped {
-		t.Fatal("exploration capped")
-	}
-	duplicate := false
-	for _, v := range res.Violations {
-		if v.Kind == "linearizability" {
-			duplicate = true
-			t.Logf("found: %v", v)
-			break
-		}
-	}
-	if !duplicate {
-		t.Fatalf("explored %d states without finding the ABA corruption", res.Paths)
-	}
-}
-
-func TestMSIsImmuneToTheStoneABASchedule(t *testing.T) {
-	// The exact workload that breaks Stone, run under the MS machines in
-	// graph mode: the counters must keep every reachable state sane (in
-	// particular, Head can never be redirected onto a free node, which is
-	// precisely what Stone's stale CAS does) and no state may be blocked.
-	res, err := Run(Config{
-		Algo: AlgoMS,
-		Mode: ModeGraph,
-		Scripts: [][]OpSpec{
-			{Deq()},
-			{Enq(1), Deq(), Enq(2), Deq()},
-		},
-		ArenaSize:       3,
-		CheckInvariants: CheckMSInvariants,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capped {
-		t.Fatal("exploration capped")
-	}
-	if res.Blocked != 0 || res.Parked != 0 || len(res.Violations) != 0 {
-		t.Fatalf("blocked=%d parked=%d violations=%v", res.Blocked, res.Parked, res.Violations)
-	}
-}
-
-func TestMCExplorationFindsBlockedStates(t *testing.T) {
-	// Mellor-Crummey's queue is lock-free but blocking: with the enqueuer
-	// stalled between its tail swap and its link, the dequeuer can only
-	// spin. The explorer must find such states; for the same workload the
-	// MS queue has none.
-	res, err := Run(Config{
-		Algo: AlgoMC,
-		Scripts: [][]OpSpec{
-			{Enq(1)},
-			{Deq()},
-		},
-		ArenaSize: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Parked == 0 {
-		t.Fatalf("explored %d states without finding MC's blocking window", res.Paths)
-	}
-	// Complete interleavings must still be linearizable.
-	for _, v := range res.Violations {
-		if v.Kind == "linearizability" {
-			t.Fatalf("MC produced a non-linearizable history: %v", v)
-		}
-	}
-
-	msRes, err := Run(Config{
-		Algo: AlgoMS,
-		Scripts: [][]OpSpec{
-			{Enq(1)},
-			{Deq()},
-		},
-		ArenaSize:       3,
-		CheckInvariants: CheckMSInvariants,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msRes.Parked != 0 || msRes.Blocked != 0 {
-		t.Fatalf("MS parked=%d blocked=%d in the same workload", msRes.Parked, msRes.Blocked)
 	}
 }
 
@@ -294,6 +107,26 @@ func TestRefString(t *testing.T) {
 	}
 }
 
+func TestStoneExplorationFindsNonLinearizableEmpty(t *testing.T) {
+	// The paper: "a slow enqueuer may cause a faster process to enqueue an
+	// item and subsequently observe an empty queue". Process 1 completes
+	// Enq(2) and then dequeues; in some interleaving with process 0's
+	// stalled Enq(1) it must observe the illegal empty.
+	res, err := Run(scenarioConfig(t, "stone/paths/invisible-suffix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Capped {
+		t.Fatal("exploration capped")
+	}
+	for _, v := range res.Violations {
+		if v.Kind == "linearizability" && strings.Contains(v.Detail, "empty") {
+			return
+		}
+	}
+	t.Fatalf("explored %d states without finding Stone's non-linearizable empty: %v", res.Paths, res.Violations)
+}
+
 func TestCheckMSInvariantsDetectsCorruption(t *testing.T) {
 	s := NewState(3)
 	InitQueue(s)
@@ -331,71 +164,6 @@ func TestCheckMSInvariantsDetectsCorruption(t *testing.T) {
 	if err := CheckMSInvariants(broken); err == nil {
 		t.Fatal("null head not detected")
 	}
-}
-
-func TestTwoLockExhaustive(t *testing.T) {
-	// Both of the paper's contributions are model-checked: the two-lock
-	// queue must keep the structural invariants and produce only
-	// linearizable histories. Unlike the MS queue it *parks*: a process
-	// stalled while holding a lock leaves the other spinning — the
-	// blocking classification of section 1 — but it never deadlocks (no
-	// operation takes both locks).
-	res, err := Run(Config{
-		Algo: AlgoTwoLock,
-		Scripts: [][]OpSpec{
-			{Enq(1), Deq()},
-			{Enq(2)},
-		},
-		ArenaSize:       4,
-		CheckInvariants: CheckTwoLockInvariants,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capped {
-		t.Fatal("exploration capped")
-	}
-	for _, v := range res.Violations {
-		if v.Kind == "linearizability" || v.Kind == "invariant" {
-			t.Fatalf("two-lock violation: %v", v)
-		}
-	}
-	if res.Parked == 0 {
-		t.Fatal("lock-based queue never parked a waiter; the lock model is not being exercised")
-	}
-	if res.Blocked != 0 {
-		t.Fatalf("deadlock found in the two-lock queue: %v", res.Violations)
-	}
-	t.Logf("explored %d states, %d events, parked=%d", res.Paths, res.Events, res.Parked)
-}
-
-func TestTwoLockGraphInvariants(t *testing.T) {
-	res, err := Run(Config{
-		Algo: AlgoTwoLock,
-		Mode: ModeGraph,
-		Scripts: [][]OpSpec{
-			{Enq(1), Deq()},
-			{Enq(2)},
-			{Deq()},
-		},
-		ArenaSize:       4,
-		CheckInvariants: CheckTwoLockInvariants,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capped {
-		t.Fatal("exploration capped")
-	}
-	for _, v := range res.Violations {
-		if v.Kind == "invariant" {
-			t.Fatalf("two-lock invariant violation: %v", v)
-		}
-	}
-	if res.Blocked != 0 {
-		t.Fatalf("deadlock found: %v", res.Violations)
-	}
-	t.Logf("explored %d states, %d events, parked=%d", res.Paths, res.Events, res.Parked)
 }
 
 func TestCheckHeadSanity(t *testing.T) {

@@ -38,8 +38,9 @@ func equalSets(a, b map[string]bool) bool {
 // modelled machine and every verdict class the explorer can produce: clean
 // non-blocking (ms, epoch, ring), racy (stone's lost insertion,
 // valois-style flows), and blocking (mc's swap-link window, the two-lock
-// queue's lock waits).
-func crossCheckCases() []struct {
+// queue's lock waits). Where a Scenarios row has the same config, the case
+// takes it from the row.
+func crossCheckCases(t *testing.T) []struct {
 	name string
 	cfg  Config
 } {
@@ -47,26 +48,23 @@ func crossCheckCases() []struct {
 		name string
 		cfg  Config
 	}{
-		{"ms-1x1", Config{Algo: AlgoMS, Scripts: [][]OpSpec{{Enq(1)}, {Deq()}}, ArenaSize: 3, CheckInvariants: CheckMSInvariants}},
-		{"ms-enq-enq-deq", Config{Algo: AlgoMS, Scripts: [][]OpSpec{{Enq(1), Deq()}, {Enq(2)}}, ArenaSize: 4, CheckInvariants: CheckMSInvariants}},
+		{"ms-1x1", scenarioConfig(t, "ms/paths/enq-vs-deq")},
+		{"ms-enq-enq-deq", scenarioConfig(t, "ms/paths/pair-vs-enq")},
 		{"stone-race", Config{Algo: AlgoStone, Scripts: [][]OpSpec{{Enq(1)}, {Enq(2), Deq()}}, ArenaSize: 4, CheckInvariants: CheckHeadSanity}},
-		{"mc-blocking", Config{Algo: AlgoMC, Scripts: [][]OpSpec{{Enq(1)}, {Deq()}}, ArenaSize: 3}},
+		{"mc-blocking", scenarioConfig(t, "mc/paths/enq-vs-deq")},
 		{"two-lock", Config{Algo: AlgoTwoLock, Scripts: [][]OpSpec{{Enq(1)}, {Deq(), Enq(2)}}, ArenaSize: 4, CheckInvariants: CheckTwoLockInvariants}},
 		// The unmemoised oracle cannot enumerate the valois 1-enq/1-deq
 		// workload (its reference count traffic alone pushes it past 2M
-		// paths; the memo covers it in the qmodel scenario
+		// paths; the memo covers it in the Scenarios row
 		// valois/paths/enq-vs-deq), so the refcount machine's oracle case
 		// is the two-empty-dequeue script: SafeRead's acquire/validate, the
 		// release cascade, and the shared dummy's counter are all still
 		// exercised.
 		{"valois-deq-deq", Config{Algo: AlgoValois, Scripts: [][]OpSpec{{Deq()}, {Deq()}}, ArenaSize: 3, CheckLedger: CheckValoisLedger}},
-		{"epoch-1x1", Config{Algo: AlgoEpoch, Scripts: [][]OpSpec{{Enq(1)}, {Deq()}}, ArenaSize: 3, CheckLedger: CheckEpochHeld}},
+		{"epoch-1x1", scenarioConfig(t, "epoch/paths/enq-vs-deq")},
 		{"epoch-deq-deq", Config{Algo: AlgoEpoch, Scripts: [][]OpSpec{{Deq()}, {Deq()}}, ArenaSize: 3, CheckLedger: CheckEpochHeld}},
-		{"ring-1x1", Config{Algo: AlgoRing, Scripts: [][]OpSpec{{Enq(1)}, {Deq()}}, ArenaSize: 1, CheckInvariants: CheckRingInvariants}},
-		// A 2-slot ring (order 1) keeps the threshold small enough for the
-		// empty-side dequeue's retry spending to stay enumerable while
-		// still reaching the consume, lag-advance and catch-up CASes.
-		{"ring-enq-deq-deq", Config{Algo: AlgoRing, RingOrder: 1, Scripts: [][]OpSpec{{Enq(1), Deq()}, {Deq()}}, ArenaSize: 1, CheckInvariants: CheckRingInvariants}},
+		{"ring-1x1", scenarioConfig(t, "ring/paths/enq-vs-deq")},
+		{"ring-enq-deq-deq", scenarioConfig(t, "ring/paths/lag-and-catchup")},
 	}
 }
 
@@ -125,7 +123,7 @@ func historyOrder(ops []linearizability.Op) string {
 // memo counterexample replays to its kind, and on ms-enq-enq-deq the memo
 // must execute at least 100x fewer events.
 func TestMemoCrossCheck(t *testing.T) {
-	for _, tc := range crossCheckCases() {
+	for _, tc := range crossCheckCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			full, fullHists, leaves := search(t, tc.cfg, false)
@@ -168,9 +166,9 @@ func TestMemoCrossCheck(t *testing.T) {
 	}
 }
 
-// TestMemoFindsStoneViolation checks that the memo keeps the historical
-// counterexamples: Stone's non-linearizable schedule must be found, and its
-// minimized trace must replay to the same verdict.
+// TestMemoFindsStoneViolation checks that the memo still reaches Stone's
+// linearizability violation with head-sanity checking on, and that the
+// minimized schedule it reports replays to the same violation.
 func TestMemoFindsStoneViolation(t *testing.T) {
 	cfg := Config{
 		Algo:            AlgoStone,
@@ -205,97 +203,6 @@ func TestMemoFindsStoneViolation(t *testing.T) {
 	if !kindSet(rep)["linearizability"] {
 		t.Fatalf("minimized schedule %v lost the violation", lin.Minimized)
 	}
-	t.Logf("stone: schedule %d events, minimized %d", len(lin.Schedule), len(lin.Minimized))
-}
-
-// epochRegressionScripts is the workload that separates the two limbo
-// keyings. Three enqueues feed three retires: P0's first dequeue retires
-// the original dummy and advances the global epoch from 0 to 1 past P1,
-// which pinned at 0 before the advance; P1's first dequeue then retires
-// node A under that stale pin — bucket keyed 0 if pin-keyed, 1 (the global
-// observed at retire time) if shipped; P0's second dequeue pins at 1 and
-// reads Head = A just before P1 unlinks it; P1's second dequeue retires B,
-// advances 1 -> 2 (P0's pin at 1 does not block an advance *from* 1), and
-// flushes its own limbo. At global 2 the pin-keyed bucket (epoch 0) is past
-// the two-epoch horizon and frees A while P0 still holds it; the shipped
-// bucket (epoch 1) needs global 3, which P0's pin blocks.
-func epochRegressionScripts() [][]OpSpec {
-	return [][]OpSpec{
-		{Deq(), Deq()},
-		{Enq(1), Enq(2), Enq(3), Deq(), Deq()},
-	}
-}
-
-// TestEpochPinKeyedRegression is the PR-7 regression pair: exploring the
-// pin-keyed limbo variant must find a freed-while-held state, and the
-// shipped retire-time-global keying must pass the same scripts clean. Both
-// run in graph mode — exhaustive over every reachable state, which is both
-// the strongest form of "caught" and of "passes" — and Run minimizes the
-// caught side's counterexample through the paths machinery.
-func TestEpochPinKeyedRegression(t *testing.T) {
-	scripts := epochRegressionScripts()
-
-	t.Run("pin-keyed-caught", func(t *testing.T) {
-		res, err := Run(Config{
-			Algo:        AlgoEpochPinKeyed,
-			Scripts:     scripts,
-			ArenaSize:   5,
-			CheckLedger: CheckEpochHeld,
-			Mode:        ModeGraph,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var found *Violation
-		for i := range res.Violations {
-			if res.Violations[i].Kind == "invariant" {
-				found = &res.Violations[i]
-				break
-			}
-		}
-		if found == nil {
-			t.Fatalf("pin-keyed limbo variant not caught (states %d, capped %v, violations %v)",
-				res.Paths, res.Capped, res.Violations)
-		}
-		if found.Minimized == nil {
-			t.Fatal("graph-mode finding was not minimized")
-		}
-		if len(found.Minimized) > len(found.Schedule) {
-			t.Fatalf("minimization grew the schedule: %d > %d", len(found.Minimized), len(found.Schedule))
-		}
-		pcfg := Config{Algo: AlgoEpochPinKeyed, Scripts: scripts, ArenaSize: 5, CheckLedger: CheckEpochHeld}
-		rep, err := Replay(pcfg, found.Minimized)
-		if err != nil {
-			t.Fatalf("minimized counterexample not replayable: %v", err)
-		}
-		if !kindSet(rep)["invariant"] {
-			t.Fatalf("replay of minimized %v lost the violation", found.Minimized)
-		}
-		t.Logf("pin-keyed bug caught (schedule %d events, minimized %d): %s",
-			len(found.Schedule), len(found.Minimized), found.Detail)
-	})
-
-	t.Run("shipped-keying-passes", func(t *testing.T) {
-		res, err := Run(Config{
-			Algo:        AlgoEpoch,
-			Scripts:     scripts,
-			ArenaSize:   5,
-			CheckLedger: CheckEpochHeld,
-			Mode:        ModeGraph,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Capped {
-			t.Fatalf("graph exploration capped at %d states", res.Paths)
-		}
-		for _, v := range res.Violations {
-			if v.Kind == "invariant" {
-				t.Fatalf("shipped keying flagged: %v", v)
-			}
-		}
-		t.Logf("shipped keying clean over %d reachable states", res.Paths)
-	})
 }
 
 // TestEpochModelNonBlocking pins the liveness shape of the epoch machine on

@@ -24,37 +24,6 @@ func TestValoisModelSequentialScript(t *testing.T) {
 	}
 }
 
-func TestValoisLedgerHoldsInEveryReachableState(t *testing.T) {
-	// The headline validation: across every reachable state of a concurrent
-	// workload with reuse, every node's reference counter equals the
-	// structural references plus the per-process held references, and free
-	// nodes always have a zero counter. A single lost or duplicated
-	// increment/decrement anywhere in the discipline fails this.
-	res, err := Run(Config{
-		Algo: AlgoValois,
-		Mode: ModeGraph,
-		Scripts: [][]OpSpec{
-			{Enq(1), Deq()},
-			{Enq(2), Deq()},
-		},
-		ArenaSize:   4,
-		CheckLedger: CheckValoisLedger,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capped {
-		t.Fatal("exploration capped")
-	}
-	if res.Blocked != 0 || res.Parked != 0 {
-		t.Fatalf("valois blocked=%d parked=%d: the queue should be non-blocking", res.Blocked, res.Parked)
-	}
-	for _, v := range res.Violations {
-		t.Fatalf("ledger/invariant violation: %v", v)
-	}
-	t.Logf("explored %d states, %d events", res.Paths, res.Events)
-}
-
 func TestValoisLinearizableInterleavings(t *testing.T) {
 	// Valois operations span ~15 events each, so the interleavings number
 	// in the millions, but the memo merges those that reach the same state

@@ -1,21 +1,20 @@
 // Package locks provides the lock the paper's lock-based queues run on:
 // test-and-test_and_set with bounded exponential backoff, in a yielding form
-// (TTAS) and in the pure-spin form the paper measured (TTASPure), plus two
-// simpler spin locks, test_and_set (TAS) and the FIFO ticket lock (Ticket).
+// (TTAS) and in the pure-spin form the paper measured (TTASPure).
 //
-// All satisfy sync.Locker, so the two-lock queue and the single-lock queue
+// Both satisfy sync.Locker, so the two-lock queue and the single-lock queue
 // are parameterised over them, and sync.Mutex can be dropped in as an
 // additional comparator.
 //
-// Every spin loop except TTASPure's yields the processor after a bounded
-// number of failures. On a multiprogrammed system (more runnable goroutines
-// than GOMAXPROCS) a pure spin can burn its whole scheduling quantum waiting
-// for a preempted lock holder; yielding is the spin-lock analogue of the
-// paper's observation that blocking algorithms need scheduler cooperation.
+// TTAS's backoff yields the processor after several consecutive failures;
+// TTASPure's never does. On a multiprogrammed system (more runnable
+// goroutines than GOMAXPROCS) a pure spin can burn its whole scheduling
+// quantum waiting for a preempted lock holder; yielding is the spin-lock
+// analogue of the paper's observation that blocking algorithms need
+// scheduler cooperation.
 package locks
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"msqueue/internal/backoff"
@@ -24,51 +23,12 @@ import (
 	"msqueue/internal/pad"
 )
 
-// PointLockAcquired is the trace point TAS, TTAS and TTASPure fire
-// immediately after winning the lock. A goroutine crash-stopped here halts while
+// PointLockAcquired is the trace point TTAS and TTASPure fire immediately
+// after winning the lock. A goroutine crash-stopped here halts while
 // *holding* the lock — the paper's inopportune moment for any lock-based
 // algorithm — so the chaos engine can demonstrate stall propagation without
 // the enclosing queue's cooperation.
 const PointLockAcquired inject.Point = "lock:acquired"
-
-// TAS is a plain test_and_set spin lock: every acquisition attempt performs
-// an atomic exchange, generating cache-line traffic on every probe. It is
-// the simple primitive the paper assumes on machines without universal
-// atomic operations.
-type TAS struct {
-	state atomic.Int32
-	_     pad.Line
-	probe *metrics.Probe
-	tr    inject.Tracer
-}
-
-// SetProbe installs a contention probe; every failed acquisition attempt
-// reports one metrics.LockSpin. Call before sharing the lock.
-func (l *TAS) SetProbe(p *metrics.Probe) { l.probe = p }
-
-// SetTracer installs a fault-injection tracer (PointLockAcquired). Call
-// before sharing the lock.
-func (l *TAS) SetTracer(tr inject.Tracer) { l.tr = tr }
-
-// Lock acquires the lock, spinning (and eventually yielding) until free.
-func (l *TAS) Lock() {
-	fails := 0
-	for l.state.Swap(1) != 0 {
-		fails++
-		l.probe.Add(metrics.LockSpin, 1)
-		if fails%spinYieldEvery == 0 {
-			runtime.Gosched()
-		}
-	}
-	if l.tr != nil {
-		l.tr.At(PointLockAcquired)
-	}
-}
-
-// Unlock releases the lock.
-func (l *TAS) Unlock() {
-	l.state.Store(0)
-}
 
 // TTAS is a test-and-test_and_set lock with bounded exponential backoff,
 // the lock used for the paper's lock-based measurements. The read-only probe
@@ -134,32 +94,3 @@ func (l *TTASPure) Lock() {
 		bo.WaitNoYield()
 	}
 }
-
-// Ticket is a fair FIFO spin lock: acquirers take a ticket with
-// fetch_and_increment and spin until the grant counter reaches it.
-type Ticket struct {
-	next  atomic.Uint64
-	_     pad.Line
-	owner atomic.Uint64
-	_     pad.Line
-}
-
-// Lock takes the next ticket and waits for its turn.
-func (l *Ticket) Lock() {
-	t := l.next.Add(1) - 1
-	fails := 0
-	for l.owner.Load() != t {
-		fails++
-		if fails%spinYieldEvery == 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Unlock grants the lock to the next ticket holder.
-func (l *Ticket) Unlock() {
-	l.owner.Add(1)
-}
-
-// spinYieldEvery bounds how long TAS and Ticket spin before yielding.
-const spinYieldEvery = 64

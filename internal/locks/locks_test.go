@@ -18,10 +18,8 @@ type lockCase struct {
 // plus the runtime mutex the queues also accept.
 func allLocks() []lockCase {
 	return []lockCase{
-		{"tas", new(TAS)},
 		{"ttas", new(TTAS)},
 		{"ttas-pure", new(TTASPure)},
-		{"ticket", new(Ticket)},
 		{"mutex", new(sync.Mutex)},
 	}
 }
@@ -38,7 +36,6 @@ type spinLockCase struct {
 // spinLocks returns a fresh, unlocked instance of each instrumented lock.
 func spinLocks() []spinLockCase {
 	return []spinLockCase{
-		{"tas", new(TAS)},
 		{"ttas", new(TTAS)},
 		{"ttas-pure", new(TTASPure)},
 	}
@@ -116,49 +113,6 @@ func TestCriticalSectionSeesPriorWrites(t *testing.T) {
 				t.Fatalf("total = %d, sum = %d, want 4000", total, sum)
 			}
 		})
-	}
-}
-
-func TestTicketIsFIFO(t *testing.T) {
-	// With the lock held, queue up waiters one at a time; they must acquire
-	// in arrival order.
-	var l Ticket
-	l.Lock()
-
-	const waiters = 5
-	var (
-		order []int
-		mu    sync.Mutex
-		ready sync.WaitGroup
-		done  sync.WaitGroup
-	)
-	for i := 0; i < waiters; i++ {
-		i := i
-		ready.Add(1)
-		done.Add(1)
-		go func() {
-			// Take a ticket deterministically before admitting the next
-			// goroutine: the ticket counter assigns arrival order.
-			tkt := l.next.Add(1) - 1
-			ready.Done()
-			for l.owner.Load() != tkt {
-				runtime.Gosched()
-			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			l.owner.Add(1) // unlock
-			done.Done()
-		}()
-		ready.Wait() // ensure goroutine i took its ticket before i+1 starts
-	}
-	l.Unlock()
-	done.Wait()
-
-	for i := 1; i < len(order); i++ {
-		if order[i-1] >= order[i] {
-			t.Fatalf("acquisition order %v is not FIFO", order)
-		}
 	}
 }
 
