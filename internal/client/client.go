@@ -10,6 +10,13 @@
 // Per-goroutine order is preserved (each goroutine waits for its response
 // before its next request), which is all a queue client can use anyway.
 //
+// Slots are pooled, so a steady-state call allocates nothing. Each use of
+// a slot is resolved once, by one value: the response or the connection's
+// death. A slot whose caller stopped waiting (OpTimeout) is never reused.
+// Requests are encoded into one write buffer per connection, and a caller
+// that sees another writer waiting leaves the write to it, so a lone
+// caller writes at once. Responses come through a buffered reader.
+//
 // # Failure semantics
 //
 // The client distinguishes the two failure shapes the wire protocol can
@@ -25,12 +32,11 @@
 //     are connection errors too: a stream that carried one lying byte
 //     cannot be trusted to carry the next frame, so it is torn down, not
 //     resynchronised. The client redials with jittered backoff and
-//     resends requests that never got
-//     a response. For enqueues this is at-least-once: an enqueue whose
-//     ACK was lost in the failure window may be applied twice. What can
-//     never happen is a resend after the ACK arrived — response
-//     delivery and connection teardown resolve each pending request
-//     exactly once, so an acknowledged enqueue is final.
+//     resends requests that never got a response. For enqueues this is
+//     at-least-once: an enqueue whose ACK was lost in the failure window
+//     may be applied twice. What can never happen is a resend after the
+//     ACK arrived — response delivery and connection teardown resolve each
+//     pending request exactly once, so an acknowledged enqueue is final.
 //
 // Callers who cannot tolerate the at-least-once window should treat a
 // connection error as doubt, not as loss, and reconcile out of band;
@@ -38,6 +44,8 @@
 package client
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -119,13 +127,35 @@ type Client struct {
 type connHandle struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serialises frame writes
+	wmu     sync.Mutex   // serialises appends to out and writes to conn
+	out     []byte       // encoded frames the last writer writes; keeps its capacity
+	writers atomic.Int32 // callers holding or waiting for wmu
 
 	mu      sync.Mutex
-	pending map[uint64]chan wire.Frame
+	pending map[uint64]*call
 	nextID  uint64
 	dead    bool
 	err     error
+}
+
+// call is one attempt's pending-table slot. One value on done resolves
+// it: the response, its payload copied into resp's own buffer, or err.
+type call struct {
+	done chan struct{}
+	resp wire.Frame
+	err  error
+}
+
+// calls pools slots whose payload buffer fits any fixed-size payload.
+var calls = sync.Pool{New: func() any {
+	return &call{done: make(chan struct{}, 1), resp: wire.Frame{Payload: make([]byte, 0, 64)}}
+}}
+
+// request is a frame without its id, encoded anew for every attempt.
+type request struct {
+	typ     wire.Type
+	payload []byte
+	vals    []int // an EnqBatch's values, in place of payload
 }
 
 // New returns a Client for cfg; the first operation dials.
@@ -239,7 +269,7 @@ func (c *Client) handle() (*connHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &connHandle{conn: conn, pending: make(map[uint64]chan wire.Frame)}
+	h := &connHandle{conn: conn, pending: make(map[uint64]*call)}
 	c.conn = h
 	c.dials++
 	go c.readLoop(h)
@@ -263,9 +293,10 @@ func (c *Client) dropConn(h *connHandle, err error) {
 // request resolves exactly once — the invariant behind "an acknowledged
 // enqueue is never resent".
 func (c *Client) readLoop(h *connHandle) {
+	br := bufio.NewReader(h.conn)
 	var buf []byte
 	for {
-		f, newBuf, err := wire.Read(h.conn, buf)
+		f, newBuf, err := wire.Read(br, buf)
 		if err != nil {
 			// A checksum or magic failure means the stream carried bytes
 			// that are not the frame the server sent: the response (and
@@ -281,12 +312,13 @@ func (c *Client) readLoop(h *connHandle) {
 		}
 		buf = newBuf
 		h.mu.Lock()
-		ch, ok := h.pending[f.ID]
+		cl, ok := h.pending[f.ID]
 		delete(h.pending, f.ID)
 		h.mu.Unlock()
 		if ok {
-			f.Payload = append([]byte(nil), f.Payload...) // detach from the read buffer
-			ch <- f
+			p := append(cl.resp.Payload[:0], f.Payload...) // detach from the read buffer
+			cl.resp, cl.err = wire.Frame{Type: f.Type, ID: f.ID, Payload: p}, nil
+			cl.done <- struct{}{}
 		}
 		// An unmatched id (e.g. an ERR broadcast with id 0) carries no
 		// waiter; connection-fatal conditions surface as the read error
@@ -295,7 +327,7 @@ func (c *Client) readLoop(h *connHandle) {
 }
 
 // fail marks h dead and resolves every still-pending request with the
-// handle's error by closing its channel.
+// handle's error.
 func (h *connHandle) fail(err error) {
 	h.mu.Lock()
 	if h.dead {
@@ -308,29 +340,60 @@ func (h *connHandle) fail(err error) {
 	h.pending = nil
 	h.mu.Unlock()
 	h.conn.Close()
-	for _, ch := range pending {
-		close(ch)
+	for _, cl := range pending {
+		cl.err = err
+		cl.done <- struct{}{}
 	}
 }
 
-// register allocates a request id and its response slot.
-func (h *connHandle) register() (uint64, chan wire.Frame, error) {
+// register enters a pooled call slot in the pending table under a fresh
+// request id.
+func (h *connHandle) register() (*call, uint64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.dead {
-		return 0, nil, h.err
+		return nil, 0, h.err
 	}
 	h.nextID++
-	id := h.nextID
-	ch := make(chan wire.Frame, 1)
-	h.pending[id] = ch
-	return id, ch, nil
+	cl := calls.Get().(*call)
+	h.pending[h.nextID] = cl
+	return cl, h.nextID, nil
 }
 
-// roundTrip sends the frame built by build and waits for its response,
-// transparently redialling on connection failure. build is re-invoked per
-// attempt with the fresh request id. Responses of type Err become errors.
-func (c *Client) roundTrip(build func(id uint64) wire.Frame) (wire.Frame, error) {
+// send encodes req into the write buffer. Only the last of the callers
+// writing or waiting to write writes it to the connection; the others'
+// frames ride along.
+func (h *connHandle) send(req *request, id uint64, timeout time.Duration) error {
+	h.writers.Add(1)
+	h.wmu.Lock()
+	defer h.wmu.Unlock()
+	// OpTimeout bounds the write too, not just the response wait: a
+	// blackholed peer that accepts no bytes would otherwise wedge this
+	// attempt before the await even starts.
+	if timeout > 0 {
+		h.conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	if req.typ == wire.EnqBatch {
+		h.out = wire.AppendValuesFrame(h.out, req.typ, id, req.vals)
+	} else {
+		h.out = wire.AppendFrame(h.out, req.typ, id, req.payload...)
+	}
+	if h.writers.Add(-1) > 0 {
+		return nil
+	}
+	_, err := h.conn.Write(h.out)
+	h.out = h.out[:0]
+	return err
+}
+
+// errUnexpected is a decode function's verdict on a response of the wrong
+// type; roundTrip names both types in the error it returns.
+var errUnexpected = errors.New("client: unexpected response")
+
+// roundTrip sends req and hands its response to decode, transparently
+// redialling on connection failure. Responses of type Err become errors.
+// The response's payload is valid only until decode returns.
+func (c *Client) roundTrip(req request, decode func(resp wire.Frame) error) error {
 	sleeper := backoff.Sleeper{Min: c.cfg.ReconnectMin, Max: c.cfg.ReconnectMax}
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxReconnects; attempt++ {
@@ -340,80 +403,73 @@ func (c *Client) roundTrip(build func(id uint64) wire.Frame) (wire.Frame, error)
 		h, err := c.handle()
 		if err != nil {
 			if err == ErrClosed {
-				return wire.Frame{}, err
+				return err
 			}
 			lastErr = err
 			c.logf("dial failed (attempt %d/%d): %v", attempt+1, c.cfg.MaxReconnects+1, err)
 			continue
 		}
-		id, ch, err := h.register()
+		cl, id, err := h.register()
 		if err != nil {
 			lastErr = err
 			c.dropConn(h, err)
 			continue
 		}
-		f := build(id)
-		h.wmu.Lock()
-		// OpTimeout bounds the write too, not just the response wait: a
-		// blackholed peer that accepts no bytes would otherwise wedge
-		// this attempt before the await even starts.
-		if c.cfg.OpTimeout > 0 {
-			h.conn.SetWriteDeadline(time.Now().Add(c.cfg.OpTimeout))
-		}
-		err = wire.Write(h.conn, f)
-		h.wmu.Unlock()
-		if err != nil {
+		if err := h.send(&req, id, c.cfg.OpTimeout); err != nil {
 			// The frame may have partially left before the write failed,
-			// so this retry is inside the at-least-once window too.
+			// so this retry is inside the at-least-once window too. cl
+			// will be resolved by the handle's death; it is not reused.
 			c.resends.Add(1)
 			c.dropConn(h, fmt.Errorf("client: write: %w", err))
 			lastErr = err
 			continue
 		}
-		resp, ok, timedOut := c.await(ch)
-		if timedOut {
+		if !c.await(cl) {
 			// The server went silent without closing the connection. Drop
 			// it so the next attempt redials; the request's fate is
-			// unknown, like any connection failure.
+			// unknown, like any connection failure. cl may still be
+			// resolved, so it is abandoned, never reused.
 			c.resends.Add(1)
 			lastErr = fmt.Errorf("client: no response within %v", c.cfg.OpTimeout)
 			c.dropConn(h, lastErr)
-			c.logf("%v request timed out after %v", f.Type, c.cfg.OpTimeout)
+			c.logf("%v request timed out after %v", req.typ, c.cfg.OpTimeout)
 			continue
 		}
-		if !ok {
+		if cl.err != nil {
 			// The connection died before this request's response. Its
 			// fate is unknown; resend on a fresh connection
 			// (at-least-once — see the package comment).
 			c.resends.Add(1)
-			lastErr = h.err
-			c.logf("%v request resent after %v", f.Type, h.err)
+			lastErr = cl.err
+			calls.Put(cl)
+			c.logf("%v request resent after %v", req.typ, lastErr)
 			continue
 		}
-		if resp.Type == wire.Err {
-			return wire.Frame{}, fmt.Errorf("client: server error: %s", resp.Payload)
+		if cl.resp.Type == wire.Err {
+			err = fmt.Errorf("client: server error: %s", cl.resp.Payload)
+		} else if err = decode(cl.resp); err == errUnexpected {
+			err = fmt.Errorf("client: unexpected %v response to %v", cl.resp.Type, req.typ)
 		}
-		return resp, nil
+		calls.Put(cl)
+		return err
 	}
-	return wire.Frame{}, fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxReconnects+1, lastErr)
+	return fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxReconnects+1, lastErr)
 }
 
-// await waits for one response slot to resolve, bounded by OpTimeout when
-// configured. timedOut reports that the deadline fired first; the caller
-// owns dropping the connection (the pending slot is then resolved by the
-// handle's death, never read again).
-func (c *Client) await(ch <-chan wire.Frame) (resp wire.Frame, ok, timedOut bool) {
+// await waits for cl to resolve, bounded by OpTimeout when configured,
+// and reports false when the deadline fired first.
+func (c *Client) await(cl *call) bool {
 	if c.cfg.OpTimeout <= 0 {
-		resp, ok = <-ch
-		return resp, ok, false
+		<-cl.done
+		return true
 	}
 	timer := time.NewTimer(c.cfg.OpTimeout)
 	defer timer.Stop()
 	select {
-	case resp, ok = <-ch:
-		return resp, ok, false
+	case <-cl.done:
+		return true
 	case <-timer.C:
-		return wire.Frame{}, false, true
+		return false
 	}
 }
 
@@ -423,20 +479,11 @@ func (c *Client) await(ch <-chan wire.Frame) (resp wire.Frame, ok, timedOut bool
 func (c *Client) Enqueue(v int) error {
 	var sleeper backoff.Sleeper
 	for {
-		resp, err := c.roundTrip(func(id uint64) wire.Frame { return wire.EnqFrame(id, int64(v)) })
-		if err != nil {
+		ok, hint, err := c.enqueue(v)
+		if ok || err != nil {
 			return err
 		}
-		switch resp.Type {
-		case wire.Ack:
-			return nil
-		case wire.Retry:
-			if err := c.awaitRetry(resp, &sleeper); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("client: unexpected %v response to ENQ", resp.Type)
-		}
+		time.Sleep(sleeper.Next(hint))
 	}
 }
 
@@ -444,59 +491,51 @@ func (c *Client) Enqueue(v int) error {
 // the wire analogue of queue.Bounded.TryEnqueue (one attempt, no backoff
 // loop).
 func (c *Client) TryEnqueue(v int) (bool, error) {
-	resp, err := c.roundTrip(func(id uint64) wire.Frame { return wire.EnqFrame(id, int64(v)) })
-	if err != nil {
-		return false, err
-	}
-	switch resp.Type {
-	case wire.Ack:
-		return true, nil
-	case wire.Retry:
-		reason, _, err := wire.DecodeRetry(resp.Payload)
-		if err != nil {
-			return false, err
-		}
-		if reason == wire.RetryDraining {
-			return false, ErrDraining
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("client: unexpected %v response to ENQ", resp.Type)
-	}
+	ok, _, err := c.enqueue(v)
+	return ok, err
 }
 
-// awaitRetry decodes a RETRY frame and sleeps out its jittered hint, or
-// returns ErrDraining.
-func (c *Client) awaitRetry(resp wire.Frame, sleeper *backoff.Sleeper) error {
-	reason, hint, err := wire.DecodeRetry(resp.Payload)
-	if err != nil {
+// enqueue makes one ENQ round trip: acceptance, or a RETRY's hint.
+func (c *Client) enqueue(v int) (ok bool, hint time.Duration, err error) {
+	var p [8]byte
+	err = c.roundTrip(request{typ: wire.Enq, payload: binary.BigEndian.AppendUint64(p[:0], uint64(v))}, func(resp wire.Frame) (err error) {
+		if ok = resp.Type == wire.Ack; !ok {
+			hint, err = retryHint(resp)
+		}
 		return err
+	})
+	return ok, hint, err
+}
+
+// retryHint reads a RETRY's backoff hint, or ErrDraining.
+func retryHint(resp wire.Frame) (time.Duration, error) {
+	if resp.Type != wire.Retry {
+		return 0, errUnexpected
 	}
-	if reason == wire.RetryDraining {
-		return ErrDraining
+	reason, hint, err := wire.DecodeRetry(resp.Payload)
+	if err == nil && reason == wire.RetryDraining {
+		err = ErrDraining
 	}
-	time.Sleep(sleeper.Next(hint))
-	return nil
+	return hint, err
 }
 
 // Dequeue removes the value at the head, reporting false on an empty
 // queue. A dequeue resent across a connection failure may have consumed
 // a value whose VALUE frame was lost; the server requeues what it can
 // prove undelivered, but the in-flight window is at-most-once.
-func (c *Client) Dequeue() (int, bool, error) {
-	resp, err := c.roundTrip(wire.DeqFrame)
-	if err != nil {
-		return 0, false, err
-	}
-	switch resp.Type {
-	case wire.Value:
-		v, err := wire.DecodeValue(resp.Payload)
-		return int(v), err == nil, err
-	case wire.Empty:
-		return 0, false, nil
-	default:
-		return 0, false, fmt.Errorf("client: unexpected %v response to DEQ", resp.Type)
-	}
+func (c *Client) Dequeue() (v int, ok bool, err error) {
+	err = c.roundTrip(request{typ: wire.Deq}, func(resp wire.Frame) error {
+		switch resp.Type {
+		case wire.Value:
+			x, err := wire.DecodeValue(resp.Payload)
+			v, ok = int(x), err == nil
+			return err
+		case wire.Empty:
+			return nil
+		}
+		return errUnexpected
+	})
+	return v, ok, err
 }
 
 // EnqueueBatch appends all of vs in order, looping through partial
@@ -506,39 +545,24 @@ func (c *Client) EnqueueBatch(vs []int) (int, error) {
 	done := 0
 	var sleeper backoff.Sleeper
 	for done < len(vs) {
-		chunk := vs[done:]
-		if len(chunk) > wire.MaxBatch {
-			chunk = chunk[:wire.MaxBatch]
-		}
-		vals := make([]int64, len(chunk))
-		for i, v := range chunk {
-			vals[i] = int64(v)
-		}
-		resp, err := c.roundTrip(func(id uint64) wire.Frame { return wire.EnqBatchFrame(id, vals) })
+		chunk := vs[done:min(len(vs), done+wire.MaxBatch)]
+		n, hint := 0, time.Duration(0)
+		err := c.roundTrip(request{typ: wire.EnqBatch, vals: chunk}, func(resp wire.Frame) (err error) {
+			if resp.Type != wire.Ack {
+				hint, err = retryHint(resp)
+			} else if n, err = wire.DecodeCount(resp.Payload); err == nil && n > len(chunk) {
+				err = fmt.Errorf("client: ENQ_BATCH of %d values acknowledged %d", len(chunk), n)
+			}
+			return err
+		})
 		if err != nil {
 			return done, err
 		}
-		switch resp.Type {
-		case wire.Ack:
-			n, err := wire.DecodeCount(resp.Payload)
-			if err != nil {
-				return done, err
-			}
-			if n > len(chunk) {
-				return done, fmt.Errorf("client: ENQ_BATCH of %d values acknowledged %d", len(chunk), n)
-			}
-			done += n
-			if n < len(chunk) {
-				time.Sleep(sleeper.Next(0)) // partial accept: the queue is full
-			} else {
-				sleeper.Reset()
-			}
-		case wire.Retry:
-			if err := c.awaitRetry(resp, &sleeper); err != nil {
-				return done, err
-			}
-		default:
-			return done, fmt.Errorf("client: unexpected %v response to ENQ_BATCH", resp.Type)
+		done += n
+		if n < len(chunk) {
+			time.Sleep(sleeper.Next(hint)) // refused, or partly accepted: the queue is full
+		} else {
+			sleeper.Reset()
 		}
 	}
 	return done, nil
@@ -546,60 +570,50 @@ func (c *Client) EnqueueBatch(vs []int) (int, error) {
 
 // DequeueBatch fills dst from the head of the queue, returning how many
 // values it wrote (0 on an empty queue).
-func (c *Client) DequeueBatch(dst []int) (int, error) {
+func (c *Client) DequeueBatch(dst []int) (n int, err error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	max := len(dst)
-	if max > wire.MaxBatch {
-		max = wire.MaxBatch
-	}
-	resp, err := c.roundTrip(func(id uint64) wire.Frame { return wire.DeqBatchFrame(id, max) })
-	if err != nil {
-		return 0, err
-	}
-	switch resp.Type {
-	case wire.Values:
-		vs, err := wire.DecodeValues(resp.Payload)
-		if err != nil {
-			return 0, err
+	max := min(len(dst), wire.MaxBatch)
+	var p [4]byte
+	err = c.roundTrip(request{typ: wire.DeqBatch, payload: binary.BigEndian.AppendUint32(p[:0], uint32(max))}, func(resp wire.Frame) error {
+		switch resp.Type {
+		case wire.Values:
+			// Capped at max: an oversized reply reallocates, not overruns.
+			vs, err := wire.DecodeInts(dst[:0:max], resp.Payload)
+			if err == nil && len(vs) > max {
+				return fmt.Errorf("client: DEQ_BATCH of %d answered with %d values", max, len(vs))
+			}
+			n = len(vs) // 0 on error: DecodeInts appends nothing then
+			return err
+		case wire.Empty:
+			return nil
 		}
-		if len(vs) > max {
-			return 0, fmt.Errorf("client: DEQ_BATCH of %d answered with %d values", max, len(vs))
-		}
-		for i, v := range vs {
-			dst[i] = int(v)
-		}
-		return len(vs), nil
-	case wire.Empty:
-		return 0, nil
-	default:
-		return 0, fmt.Errorf("client: unexpected %v response to DEQ_BATCH", resp.Type)
-	}
+		return errUnexpected
+	})
+	return n, err
 }
 
 // Stats fetches the server's wire counters.
-func (c *Client) Stats() (wire.Counters, error) {
-	resp, err := c.roundTrip(wire.StatsFrame)
-	if err != nil {
-		return wire.Counters{}, err
-	}
-	if resp.Type != wire.StatsReply {
-		return wire.Counters{}, fmt.Errorf("client: unexpected %v response to STATS", resp.Type)
-	}
-	return wire.DecodeCounters(resp.Payload)
+func (c *Client) Stats() (cs wire.Counters, err error) {
+	err = c.roundTrip(request{typ: wire.Stats}, func(resp wire.Frame) (err error) {
+		if resp.Type != wire.StatsReply {
+			return errUnexpected
+		}
+		cs, err = wire.DecodeCounters(resp.Payload)
+		return err
+	})
+	return cs, err
 }
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
-	resp, err := c.roundTrip(wire.PingFrame)
-	if err != nil {
-		return err
-	}
-	if resp.Type != wire.Pong {
-		return fmt.Errorf("client: unexpected %v response to PING", resp.Type)
-	}
-	return nil
+	return c.roundTrip(request{typ: wire.Ping}, func(resp wire.Frame) error {
+		if resp.Type != wire.Pong {
+			return errUnexpected
+		}
+		return nil
+	})
 }
 
 func (c *Client) logf(format string, args ...any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -498,6 +499,92 @@ func TestOpTimeoutExhaustsAttempts(t *testing.T) {
 	defer c.Close()
 	if err := c.Ping(); err == nil {
 		t.Fatal("Ping against permanently silent servers = nil, want timeout error")
+	}
+}
+
+// lingerConn keeps reading after the client closes it, so bytes the peer
+// sends late still reach the client's read loop.
+type lingerConn struct{ net.Conn }
+
+func (lingerConn) Close() error { return nil }
+
+// TestLateResponseNeverMisdelivered: a call slot whose call timed out is
+// never reused. The first server reads a DEQ and answers it, with a value
+// nothing enqueued, only after the client has timed out and redialled;
+// the answer reaches the abandoned connection's read loop. No later call
+// may receive it, and every later call must get its own response.
+func TestLateResponseNeverMisdelivered(t *testing.T) {
+	const stale = 666
+	s := server.New(server.Config{Queue: core.NewMS[int]()})
+	defer s.Close()
+	redialled := make(chan struct{})
+	var mu sync.Mutex
+	var first net.Conn
+	dials := 0
+	c := New(Config{
+		Dial: func() (net.Conn, error) {
+			clientEnd, srvEnd := net.Pipe()
+			mu.Lock()
+			defer mu.Unlock()
+			dials++
+			if dials > 1 {
+				if dials == 2 {
+					close(redialled)
+				}
+				go s.ServeConn(srvEnd)
+				return clientEnd, nil
+			}
+			first = clientEnd
+			go func() {
+				f, _, err := wire.Read(srvEnd, nil)
+				if err != nil {
+					return
+				}
+				<-redialled
+				wire.Write(srvEnd, wire.ValueFrame(f.ID, stale))
+			}()
+			return lingerConn{clientEnd}, nil
+		},
+		OpTimeout:    50 * time.Millisecond,
+		ReconnectMin: 100 * time.Microsecond,
+	})
+	defer func() {
+		c.Close()
+		mu.Lock()
+		first.Close()
+		mu.Unlock()
+	}()
+
+	// A misdelivered response can also wedge the client, so the calls run
+	// under a watchdog.
+	errc := make(chan error, 1)
+	go func() {
+		if v, ok, err := c.Dequeue(); err != nil || ok {
+			errc <- fmt.Errorf("Dequeue through a late first server = %d, %v, %v; want empty from the live server", v, ok, err)
+			return
+		}
+		for i := 0; i < 100; i++ {
+			if err := c.Enqueue(i); err != nil {
+				errc <- fmt.Errorf("Enqueue(%d): %v", i, err)
+				return
+			}
+			if v, ok, err := c.Dequeue(); err != nil || !ok || v != i {
+				errc <- fmt.Errorf("Dequeue after Enqueue(%d) = %d, %v, %v; want %d", i, v, ok, err, i)
+				return
+			}
+		}
+		errc <- nil
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("calls after the late response did not complete")
+	}
+	if got := c.Dials(); got != 2 {
+		t.Fatalf("Dials = %d, want 2", got)
 	}
 }
 

@@ -8,12 +8,14 @@
 // Each accepted connection is served by one goroutine that reads frames
 // through a buffered reader and applies them to the queue in arrival order
 // — per-connection FIFO, the property the queue itself is about. Responses
-// go into a buffered writer that is flushed only before a read that could
-// block, that is when the next request frame is not already buffered
-// whole, so a pipelining client's burst is answered in few syscalls and a
-// lone request is answered at once. A client that floods requests without
-// reading responses eventually blocks the flush, and with it its own
-// connection, not the server.
+// are encoded straight into a buffered writer that is flushed only before
+// a read that could block, that is when the next request frame is not
+// already buffered whole, so a pipelining client's burst is answered in
+// few syscalls and a lone request is answered at once. IdleTimeout is
+// armed by the same rule, WriteTimeout only before a flush or a write
+// that overflows the buffer, and a steady-state request allocates nothing.
+// A client that floods requests without reading responses eventually
+// blocks the flush, and with it its own connection, not the server.
 //
 // # Backpressure
 //
@@ -38,6 +40,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -76,7 +79,8 @@ type Config struct {
 	// IdleTimeout, when positive, bounds how long a connection may go
 	// without delivering a complete frame before the server closes it, so
 	// a client that connects and goes silent cannot pin a MaxConns slot
-	// forever. The deadline is refreshed on every frame. 0 disables it.
+	// forever. The deadline is refreshed before every read that could
+	// block. 0 disables it.
 	IdleTimeout time.Duration
 	// WriteTimeout, when positive, bounds how long one write or flush to
 	// a connection may block — the mirror of IdleTimeout on the response
@@ -270,22 +274,16 @@ func (s *Server) ServeConn(conn net.Conn) {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		}
 	}
-	// unflushed holds the values of the responses written since the last
-	// flush. They settle the backlog only after a flush succeeds, and a
-	// failure puts them back in the queue: a dequeue the consumer never
-	// received must not count as delivered, or a graceful drain would
-	// declare victory while dropping acknowledged elements on the floor.
-	var unflushed []int64
 	flush := func() error {
 		armWrite()
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		if n := len(unflushed); n > 0 {
+		if n := len(c.unflushed); n > 0 {
 			s.backlog.Add(-int64(n))
 			s.dequeued.Add(uint64(n))
 			s.cfg.Probe.Add(metrics.WireDeq, int64(n))
-			unflushed = unflushed[:0]
+			c.unflushed = c.unflushed[:0]
 		}
 		return nil
 	}
@@ -296,19 +294,22 @@ func (s *Server) ServeConn(conn net.Conn) {
 	defer func() {
 		if err := flush(); err != nil {
 			s.logf("flush to %v: %v", conn.RemoteAddr(), err)
-			s.requeue(id, unflushed)
+			s.requeue(id, c.unflushed)
 		}
 	}()
 
 	var buf []byte
 	for {
-		// Flush only before a read that could block, so a pipelined burst
-		// already in br is answered with one write.
-		if !wire.FrameBuffered(br) && flush() != nil {
-			return
-		}
-		if s.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		// Only a read that could block flushes and re-arms the idle
+		// deadline, so a pipelined burst already in br is answered with one
+		// write and costs no clock read per frame.
+		if !wire.FrameBuffered(br) {
+			if flush() != nil {
+				return
+			}
+			if s.cfg.IdleTimeout > 0 {
+				conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			}
 		}
 		f, newBuf, err := wire.Read(br, buf)
 		if err != nil {
@@ -328,12 +329,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return // clean close, torn frame, corruption, idle reap or our own teardown: stop reading either way
 		}
 		buf = newBuf
-		resp, delivered, fatal := s.handle(c, f)
-		// The values join unflushed before the write: a failed write may
-		// have buffered or half-sent the frame.
-		unflushed = append(unflushed, delivered...)
-		armWrite()
-		if wire.Write(bw, resp) != nil || fatal {
+		resp, fatal := s.handle(c, f, bw.AvailableBuffer())
+		if len(resp) > bw.Available() {
+			armWrite() // only a write that overflows the buffer reaches conn
+		}
+		if _, err := bw.Write(resp); err != nil || fatal {
 			return
 		}
 	}
@@ -345,32 +345,41 @@ type connState struct {
 	id uint64
 	// fulls counts consecutive refused enqueues, escalating the hint.
 	fulls int
+	// unflushed holds the values of the responses written since the last
+	// flush. They settle the backlog only after a flush succeeds, and a
+	// failure puts them back in the queue: a dequeue the consumer never
+	// received must not count as delivered, or a graceful drain would
+	// declare victory while dropping acknowledged elements on the floor.
+	// The values of an enqueue are decoded into its spare room, past them,
+	// so one reused buffer serves both.
+	unflushed []int
 }
 
-// handle applies one request frame and returns the response, the values
-// it delivers, and whether the connection must close after sending it
-// (protocol errors).
-func (s *Server) handle(c *connState, f wire.Frame) (wire.Frame, []int64, bool) {
+// handle applies one request frame and appends its response to b. The
+// values the response delivers join c.unflushed before it is written,
+// since a failed write may have buffered or half-sent the frame. fatal
+// reports a protocol error: the connection closes after the response.
+func (s *Server) handle(c *connState, f wire.Frame, b []byte) (resp []byte, fatal bool) {
+	var p [8]byte // a fixed-size response payload
+	var err error
+	u := len(c.unflushed)
 	switch f.Type {
-	case wire.Enq:
-		v, err := wire.DecodeValue(f.Payload)
-		if err != nil {
-			return wire.ErrFrame(f.ID, err.Error()), nil, true
+	case wire.Enq, wire.EnqBatch:
+		if f.Type == wire.Enq {
+			var v int64
+			v, err = wire.DecodeValue(f.Payload)
+			c.unflushed = append(c.unflushed, int(v))
+		} else {
+			c.unflushed, err = wire.DecodeInts(c.unflushed, f.Payload)
 		}
-		if n := s.enqueue([]int64{v}); n == 0 {
-			return s.refuse(c, f.ID), nil, false
-		}
-		c.fulls = 0
-		return wire.AckFrame(f.ID), nil, false
-
-	case wire.EnqBatch:
-		vs, err := wire.DecodeValues(f.Payload)
+		vs := c.unflushed[u:]
+		c.unflushed = c.unflushed[:u]
 		if err != nil {
-			return wire.ErrFrame(f.ID, err.Error()), nil, true
+			break
 		}
 		n := s.enqueue(vs)
 		if n == 0 && len(vs) > 0 {
-			return s.refuse(c, f.ID), nil, false
+			return appendFrame(b, s.refuse(c, f.ID)), false
 		}
 		// Reset the backoff hint only on full acceptance: a partial batch
 		// (n < len(vs)) proves the queue is full right now, and collapsing
@@ -379,68 +388,58 @@ func (s *Server) handle(c *connState, f wire.Frame) (wire.Frame, []int64, bool) 
 		if n == len(vs) && n > 0 {
 			c.fulls = 0
 		}
-		return wire.AckCountFrame(f.ID, n), nil, false
+		if f.Type == wire.Enq {
+			return wire.AppendFrame(b, wire.Ack, f.ID), false
+		}
+		return wire.AppendFrame(b, wire.Ack, f.ID, binary.BigEndian.AppendUint32(p[:0], uint32(n))...), false
 
-	case wire.Deq:
-		if v, ok := s.dequeueOne(); ok {
-			return wire.ValueFrame(f.ID, v), []int64{v}, false
+	case wire.Deq, wire.DeqBatch:
+		max := 1
+		if f.Type == wire.DeqBatch {
+			if max, err = wire.DecodeCount(f.Payload); err != nil {
+				break
+			}
 		}
-		return wire.EmptyFrame(f.ID), nil, false
-
-	case wire.DeqBatch:
-		max, err := wire.DecodeCount(f.Payload)
-		if err != nil {
-			return wire.ErrFrame(f.ID, err.Error()), nil, true
+		c.unflushed = s.dequeue(c.unflushed, max)
+		switch vs := c.unflushed[u:]; {
+		case len(vs) == 0:
+			return wire.AppendFrame(b, wire.Empty, f.ID), false
+		case f.Type == wire.Deq:
+			return wire.AppendFrame(b, wire.Value, f.ID, binary.BigEndian.AppendUint64(p[:0], uint64(vs[0]))...), false
+		default:
+			return wire.AppendValuesFrame(b, wire.Values, f.ID, vs), false
 		}
-		vs := s.dequeueBatch(max)
-		if len(vs) == 0 {
-			return wire.EmptyFrame(f.ID), nil, false
-		}
-		return wire.ValuesFrame(f.ID, vs), vs, false
 
 	case wire.Stats:
 		s.cfg.Probe.Add(metrics.WireControl, 1)
-		return wire.StatsReplyFrame(f.ID, s.Counters()), nil, false
+		return appendFrame(b, wire.StatsReplyFrame(f.ID, s.Counters())), false
 
 	case wire.Ping:
 		s.cfg.Probe.Add(metrics.WireControl, 1)
-		return wire.PongFrame(f.ID), nil, false
+		return wire.AppendFrame(b, wire.Pong, f.ID), false
 
 	default:
-		return wire.ErrFrame(f.ID, fmt.Sprintf("unexpected frame type %v", f.Type)), nil, true
+		err = fmt.Errorf("unexpected frame type %v", f.Type)
 	}
+	return appendFrame(b, wire.ErrFrame(f.ID, err.Error())), true
+}
+
+// appendFrame appends a frame built by a wire constructor, for the
+// responses whose payload allocation is off the hot path.
+func appendFrame(b []byte, f wire.Frame) []byte {
+	return wire.AppendFrame(b, f.Type, f.ID, f.Payload...)
 }
 
 // enqueue applies a prefix of vs to the queue under the drain gate and
 // returns how many elements were accepted (and therefore acknowledged).
-func (s *Server) enqueue(vs []int64) int {
+func (s *Server) enqueue(vs []int) int {
 	s.opMu.RLock()
 	defer s.opMu.RUnlock()
 	if s.draining.Load() {
 		return 0
 	}
 	start := s.now()
-	n := 0
-	if s.batcher != nil && len(vs) > 1 {
-		// Amortized path: one reservation sweep instead of len(vs)
-		// round trips over the queue's synchronisation words.
-		ints := make([]int, len(vs))
-		for i, v := range vs {
-			ints[i] = int(v)
-		}
-		n = s.batcher.EnqueueBatch(ints)
-	} else {
-		for _, v := range vs {
-			if s.bounded != nil {
-				if !s.bounded.TryEnqueue(int(v)) {
-					break
-				}
-			} else {
-				s.cfg.Queue.Enqueue(int(v))
-			}
-			n++
-		}
-	}
+	n := s.push(vs)
 	if n > 0 {
 		s.backlog.Add(int64(n))
 		s.enqueued.Add(uint64(n))
@@ -450,6 +449,24 @@ func (s *Server) enqueue(vs []int64) int {
 	return n
 }
 
+// push appends the longest prefix of vs the queue accepts and returns its
+// length: all of vs unless the queue is bounded and fills up.
+func (s *Server) push(vs []int) int {
+	if s.batcher != nil && len(vs) > 1 {
+		// Amortized path: one reservation sweep instead of len(vs)
+		// round trips over the queue's synchronisation words.
+		return s.batcher.EnqueueBatch(vs)
+	}
+	for i, v := range vs {
+		if s.bounded == nil {
+			s.cfg.Queue.Enqueue(v)
+		} else if !s.bounded.TryEnqueue(v) {
+			return i
+		}
+	}
+	return len(vs)
+}
+
 // refuse builds the RETRY response for a refused enqueue, escalating the
 // hint with the connection's consecutive refusals.
 func (s *Server) refuse(c *connState, id uint64) wire.Frame {
@@ -457,10 +474,7 @@ func (s *Server) refuse(c *connState, id uint64) wire.Frame {
 	if s.draining.Load() {
 		reason = wire.RetryDraining
 	}
-	shift := c.fulls
-	if shift > maxHintShift {
-		shift = maxHintShift
-	}
+	shift := min(c.fulls, maxHintShift)
 	c.fulls++
 	s.retries.Add(1)
 	s.cfg.Probe.Add(metrics.WireRetry, 1)
@@ -469,53 +483,34 @@ func (s *Server) refuse(c *connState, id uint64) wire.Frame {
 	return wire.RetryFrame(id, reason, hint)
 }
 
-func (s *Server) dequeueOne() (int64, bool) {
-	start := s.now()
-	v, ok := s.cfg.Queue.Dequeue()
-	if !ok {
-		s.empties.Add(1)
-		s.cfg.Probe.Add(metrics.WireEmpty, 1)
-		return 0, false
-	}
-	s.observe(metrics.Dequeue, start)
-	return int64(v), true
-}
-
-// dequeueChunk bounds the scratch one DEQ_BATCH request allocates before
+// dequeueChunk bounds how far one DEQ_BATCH request grows its buffer before
 // it knows how many values exist, so a 9-byte request for wire.MaxBatch
 // against an empty queue cannot cost the server 512 KiB.
 const dequeueChunk = 256
 
-// dequeueBatch removes up to max values, a chunk at a time, stopping at the
-// first short chunk; the result grows only as values arrive.
-func (s *Server) dequeueBatch(max int) []int64 {
+// dequeue appends up to max values to dst, a chunk at a time, stopping at
+// the first short chunk; dst grows only as values arrive.
+func (s *Server) dequeue(dst []int, max int) []int {
 	if max <= 0 {
-		return nil
+		return dst
 	}
-	if max > wire.MaxBatch {
-		max = wire.MaxBatch
-	}
-	start := s.now()
-	ints := make([]int, min(max, dequeueChunk))
-	var vs []int64
-	for len(vs) < max {
-		chunk := ints[:min(max-len(vs), len(ints))]
-		n := s.dequeueInto(chunk)
-		vs = slices.Grow(vs, n)
-		for _, v := range chunk[:n] {
-			vs = append(vs, int64(v))
-		}
-		if n < len(chunk) {
+	max = min(max, wire.MaxBatch)
+	start, got := s.now(), 0
+	for got < max {
+		k := min(max-got, dequeueChunk)
+		dst = slices.Grow(dst, k)
+		n := s.dequeueInto(dst[len(dst) : len(dst)+k])
+		if dst, got = dst[:len(dst)+n], got+n; n < k {
 			break
 		}
 	}
-	if len(vs) == 0 {
+	if got == 0 {
 		s.empties.Add(1)
 		s.cfg.Probe.Add(metrics.WireEmpty, 1)
-		return nil
+		return dst
 	}
 	s.observe(metrics.Dequeue, start)
-	return vs
+	return dst
 }
 
 // dequeueInto fills a prefix of dst from the queue and returns its length.
@@ -523,16 +518,14 @@ func (s *Server) dequeueInto(dst []int) int {
 	if s.batcher != nil {
 		return s.batcher.DequeueBatch(dst)
 	}
-	n := 0
-	for n < len(dst) {
+	for n := range dst {
 		v, ok := s.cfg.Queue.Dequeue()
 		if !ok {
-			break
+			return n
 		}
 		dst[n] = v
-		n++
 	}
-	return n
+	return len(dst)
 }
 
 // now is time.Now gated on the probe, so the unprobed hot path pays no
@@ -556,21 +549,11 @@ func (s *Server) observe(op metrics.Op, start time.Time) {
 // a bounded queue is full the residue is dropped and settled so a drain
 // terminates instead of waiting for elements nobody holds; the Lost
 // counter records the event.
-func (s *Server) requeue(id uint64, vs []int64) {
+func (s *Server) requeue(id uint64, vs []int) {
 	if len(vs) == 0 {
 		return
 	}
-	n := 0
-	for _, v := range vs {
-		if s.bounded != nil {
-			if !s.bounded.TryEnqueue(int(v)) {
-				break
-			}
-		} else {
-			s.cfg.Queue.Enqueue(int(v))
-		}
-		n++
-	}
+	n := s.push(vs)
 	s.cfg.Events.Record(telemetry.EvRequeue, id, int64(n), "")
 	if lost := len(vs) - n; lost > 0 {
 		s.backlog.Add(-int64(lost))

@@ -243,7 +243,7 @@ func TestDeqBatchMemoryBounded(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if resp, _, _ := s.handle(c, req); resp.Type != wire.Empty {
+			if resp := handleFrame(t, s, c, req); resp.Type != wire.Empty {
 				t.Fatalf("%T: deq batch on empty = %v, want EMPTY", q, resp.Type)
 			}
 		}
@@ -256,7 +256,7 @@ func TestDeqBatchMemoryBounded(t *testing.T) {
 		for v := 0; v < n; v++ {
 			q.Enqueue(v)
 		}
-		resp, _, _ := s.handle(c, req)
+		resp := handleFrame(t, s, c, req)
 		vs, err := wire.DecodeValues(resp.Payload)
 		if err != nil || len(vs) != n {
 			t.Fatalf("%T: deq batch returned %d values, %v; want %d", q, len(vs), err, n)
@@ -267,6 +267,18 @@ func TestDeqBatchMemoryBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// handleFrame applies req through s.handle and decodes the response it
+// appends.
+func handleFrame(t *testing.T, s *Server, c *connState, req wire.Frame) wire.Frame {
+	t.Helper()
+	b, _ := s.handle(c, req, nil)
+	resp, _, err := wire.Read(bytes.NewReader(b), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // TestDrainRefusesNewWork: after Drain begins, enqueues get
@@ -510,6 +522,56 @@ func TestPipelinedBurstIsOneWrite(t *testing.T) {
 	<-done
 	if writes != 1 {
 		t.Fatalf("%d requests sent in one write were answered in %d writes, want 1", n, writes)
+	}
+}
+
+// deadlineConn counts the deadline calls made on a connection.
+type deadlineConn struct {
+	net.Conn
+	calls *int
+}
+
+func (c deadlineConn) SetReadDeadline(t time.Time) error {
+	*c.calls++
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c deadlineConn) SetWriteDeadline(t time.Time) error {
+	*c.calls++
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// TestBurstArmsDeadlinesPerRead: the idle and write deadlines are armed
+// before reads that could block and before flushes, not per frame, so a
+// pipelined burst of n frames costs fewer than n deadline calls.
+func TestBurstArmsDeadlinesPerRead(t *testing.T) {
+	const n = 64
+	s := New(Config{Queue: core.NewMS[int](), IdleTimeout: time.Minute, WriteTimeout: time.Minute})
+	client, srvEnd := net.Pipe()
+	defer client.Close()
+	calls := 0 // read only after ServeConn has returned
+	done := make(chan struct{})
+	go func() { s.ServeConn(deadlineConn{srvEnd, &calls}); close(done) }()
+
+	burst := make([]wire.Frame, n)
+	for i := range burst {
+		burst[i] = wire.EnqFrame(uint64(i+1), int64(i))
+	}
+	if _, err := client.Write(encodeFrames(t, burst...)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for i := 1; i <= n; i++ {
+		f, newBuf, err := wire.Read(client, buf)
+		buf = newBuf
+		if err != nil || f.Type != wire.Ack || f.ID != uint64(i) {
+			t.Fatalf("response %d = %v id=%d, %v; want ACK id=%d", i, f.Type, f.ID, err, i)
+		}
+	}
+	client.Close()
+	<-done
+	if calls >= n {
+		t.Fatalf("a burst of %d frames made %d deadline calls, want fewer than %d", n, calls, n)
 	}
 }
 

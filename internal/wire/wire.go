@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -98,40 +99,19 @@ const (
 	Err Type = 0x18
 )
 
+// typeNames holds the frame-type mnemonics used in reports and errors.
+var typeNames = [...]string{
+	Enq: "ENQ", Deq: "DEQ", EnqBatch: "ENQ_BATCH", DeqBatch: "DEQ_BATCH", Stats: "STATS", Ping: "PING",
+	Ack: "ACK", Value: "VALUE", Values: "VALUES", Empty: "EMPTY", Retry: "RETRY",
+	StatsReply: "STATS_REPLY", Pong: "PONG", Err: "ERR",
+}
+
 // String returns the frame-type mnemonic used in reports and errors.
 func (t Type) String() string {
-	switch t {
-	case Enq:
-		return "ENQ"
-	case Deq:
-		return "DEQ"
-	case EnqBatch:
-		return "ENQ_BATCH"
-	case DeqBatch:
-		return "DEQ_BATCH"
-	case Stats:
-		return "STATS"
-	case Ping:
-		return "PING"
-	case Ack:
-		return "ACK"
-	case Value:
-		return "VALUE"
-	case Values:
-		return "VALUES"
-	case Empty:
-		return "EMPTY"
-	case Retry:
-		return "RETRY"
-	case StatsReply:
-		return "STATS_REPLY"
-	case Pong:
-		return "PONG"
-	case Err:
-		return "ERR"
-	default:
-		return fmt.Sprintf("Type(0x%02x)", uint8(t))
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
+	return fmt.Sprintf("Type(0x%02x)", uint8(t))
 }
 
 // Request reports whether t is a client-to-server frame kind.
@@ -212,30 +192,49 @@ func Write(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload %d", len(f.Payload), MaxPayload)
 	}
-	body := frameOverhead + len(f.Payload)
-	buf := make([]byte, headerSize+body+crcSize)
-	buf[0] = Magic
-	binary.BigEndian.PutUint32(buf[1:], uint32(body))
-	buf[headerSize] = byte(f.Type)
-	binary.BigEndian.PutUint64(buf[headerSize+1:], f.ID)
-	copy(buf[headerSize+frameOverhead:], f.Payload)
-	crc := crc32.Checksum(buf[:headerSize+body], castagnoli)
-	binary.BigEndian.PutUint32(buf[headerSize+body:], crc)
-	_, err := w.Write(buf)
+	buf := make([]byte, 0, headerSize+frameOverhead+len(f.Payload)+crcSize)
+	_, err := w.Write(AppendFrame(buf, f.Type, f.ID, f.Payload...))
 	return err
+}
+
+// AppendFrame appends one checksummed frame carrying payload to dst. With
+// bufio.Writer.AvailableBuffer() as dst it encodes without allocating.
+func AppendFrame(dst []byte, t Type, id uint64, payload ...byte) []byte {
+	return sealFrame(append(openFrame(dst, t, id), payload...), len(dst))
+}
+
+// AppendValuesFrame is AppendFrame for an EnqBatch or Values frame,
+// encoding its counted list straight from vs (at most MaxBatch values).
+func AppendValuesFrame(dst []byte, t Type, id uint64, vs []int) []byte {
+	return sealFrame(appendValues(openFrame(dst, t, id), vs), len(dst))
+}
+
+// openFrame appends a frame's header, its length left to sealFrame.
+func openFrame(dst []byte, t Type, id uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, Magic, 0, 0, 0, 0, byte(t)), id)
+}
+
+// sealFrame fills in the length of the frame opened at dst[start] and
+// appends its trailer.
+func sealFrame(dst []byte, start int) []byte {
+	binary.BigEndian.PutUint32(dst[start+1:], uint32(len(dst)-start-headerSize))
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // Read decodes one frame from r, verifying its CRC32-C trailer. A non-nil
 // buf is reused when large enough, so a connection's read loop makes no
 // steady-state allocations; the returned Frame's Payload aliases that
-// buffer. io.EOF is returned verbatim on a clean boundary (no partial
-// frame read), so callers can distinguish an orderly close from a
-// truncated stream (io.ErrUnexpectedEOF). A frame that opens with the
-// wrong magic byte yields an error wrapping ErrBadMagic; a frame whose
+// buffer. io.EOF is returned verbatim on a clean boundary
+// (no partial frame read), so callers can distinguish an orderly close
+// from a truncated stream (io.ErrUnexpectedEOF). A frame that opens with
+// the wrong magic byte yields an error wrapping ErrBadMagic; a frame whose
 // trailer does not match its bytes yields one wrapping ErrChecksum. Both
 // are connection-fatal: nothing after them in the stream can be trusted.
 func Read(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [headerSize]byte
+	// The header goes into buf, as a local array would escape through r;
+	// a fresh buf fits every fixed-size frame.
+	buf = slices.Grow(buf[:0], 64)
+	hdr := buf[:headerSize]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return Frame{}, buf, err // EOF here is a clean close
 	}
@@ -255,6 +254,7 @@ func Read(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if n > frameOverhead+MaxPayload {
 		return Frame{}, buf, fmt.Errorf("wire: frame length %d exceeds limit %d", n, frameOverhead+MaxPayload)
 	}
+	crc := crc32.Checksum(hdr, castagnoli)
 	// The bound check above caps this allocation at MaxPayload plus a few
 	// bytes of framing, before a single body byte is read.
 	if cap(buf) < int(n)+crcSize {
@@ -267,7 +267,6 @@ func Read(r io.Reader, buf []byte) (Frame, []byte, error) {
 		}
 		return Frame{}, buf, err
 	}
-	crc := crc32.Checksum(hdr[:], castagnoli)
 	crc = crc32.Update(crc, castagnoli, buf[:n])
 	if want := binary.BigEndian.Uint32(buf[n:]); crc != want {
 		return Frame{}, buf, fmt.Errorf("%w: computed 0x%08x, trailer 0x%08x", ErrChecksum, crc, want)
@@ -299,25 +298,33 @@ func DecodeValue(p []byte) (int64, error) {
 }
 
 // DecodeValues reads the counted int64 list of an EnqBatch or Values
-// frame. The declared count is validated against both MaxBatch and the
-// bytes actually present *before* the result is allocated, so a corrupt
-// or hostile count can neither over-allocate nor read past the payload.
-func DecodeValues(p []byte) ([]int64, error) {
+// frame.
+func DecodeValues(p []byte) ([]int64, error) { return decodeValues[int64](nil, p) }
+
+// DecodeInts appends the counted list of an EnqBatch or Values payload to
+// dst, allocating only when dst lacks room.
+func DecodeInts(dst []int, p []byte) ([]int, error) { return decodeValues(dst, p) }
+
+// decodeValues appends a counted int64 list to dst. The count is validated
+// against both MaxBatch and the bytes actually present *before* dst grows,
+// so a corrupt or hostile count can neither over-allocate nor read past
+// the payload.
+func decodeValues[T int | int64](dst []T, p []byte) ([]T, error) {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("wire: batch payload is %d bytes, want >= 4", len(p))
+		return dst, fmt.Errorf("wire: batch payload is %d bytes, want >= 4", len(p))
 	}
 	n := binary.BigEndian.Uint32(p)
 	if n > MaxBatch {
-		return nil, fmt.Errorf("wire: batch count %d exceeds MaxBatch %d", n, MaxBatch)
+		return dst, fmt.Errorf("wire: batch count %d exceeds MaxBatch %d", n, MaxBatch)
 	}
 	if uint64(len(p)-4) != 8*uint64(n) {
-		return nil, fmt.Errorf("wire: batch payload is %d bytes, want %d for %d values", len(p), 4+8*int64(n), n)
+		return dst, fmt.Errorf("wire: batch payload is %d bytes, want %d for %d values", len(p), 4+8*int64(n), n)
 	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = int64(binary.BigEndian.Uint64(p[4+8*i:]))
+	dst = slices.Grow(dst, int(n))
+	for i := range int(n) {
+		dst = append(dst, T(binary.BigEndian.Uint64(p[4+8*i:])))
 	}
-	return vs, nil
+	return dst, nil
 }
 
 // DecodeCount reads the uint32 payload of a DeqBatch request or a batch
@@ -341,9 +348,7 @@ func DecodeRetry(p []byte) (RetryReason, time.Duration, error) {
 
 // EnqFrame builds an Enq request.
 func EnqFrame(id uint64, v int64) Frame {
-	p := make([]byte, 8)
-	binary.BigEndian.PutUint64(p, uint64(v))
-	return Frame{Type: Enq, ID: id, Payload: p}
+	return Frame{Type: Enq, ID: id, Payload: binary.BigEndian.AppendUint64(nil, uint64(v))}
 }
 
 // DeqFrame builds a Deq request.
@@ -376,9 +381,7 @@ func AckCountFrame(id uint64, n int) Frame {
 
 // ValueFrame answers a Deq with v.
 func ValueFrame(id uint64, v int64) Frame {
-	p := make([]byte, 8)
-	binary.BigEndian.PutUint64(p, uint64(v))
-	return Frame{Type: Value, ID: id, Payload: p}
+	return Frame{Type: Value, ID: id, Payload: binary.BigEndian.AppendUint64(nil, uint64(v))}
 }
 
 // ValuesFrame answers a DeqBatch with vs.
@@ -413,7 +416,7 @@ func StatsReplyFrame(id uint64, c Counters) Frame {
 	return Frame{Type: StatsReply, ID: id, Payload: c.append(nil)}
 }
 
-func appendValues(p []byte, vs []int64) []byte {
+func appendValues[T int | int64](p []byte, vs []T) []byte {
 	p = appendCount(p, len(vs))
 	for _, v := range vs {
 		p = binary.BigEndian.AppendUint64(p, uint64(v))
