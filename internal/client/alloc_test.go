@@ -22,7 +22,7 @@ func respond(conn net.Conn) {
 		case wire.Enq:
 			out = wire.AppendFrame(out[:0], wire.Ack, f.ID)
 		case wire.Deq:
-			out = wire.AppendFrame(out[:0], wire.Value, f.ID, 0, 0, 0, 0, 0, 0, 0, 7)
+			out = wire.AppendValueFrame(out[:0], wire.Value, f.ID, 7)
 		default:
 			out = wire.AppendFrame(out[:0], wire.Pong, f.ID)
 		}

@@ -13,9 +13,9 @@
 // Slots are pooled, so a steady-state call allocates nothing. Each use of
 // a slot is resolved once, by one value: the response or the connection's
 // death. A slot whose caller stopped waiting (OpTimeout) is never reused.
-// Requests are encoded into one write buffer per connection, and a caller
-// that sees another writer waiting leaves the write to it, so a lone
-// caller writes at once. Responses come through a buffered reader.
+// Each request is encoded into the connection's one write buffer and
+// written at once, one frame per write. Responses come through a buffered
+// reader.
 //
 // # Failure semantics
 //
@@ -45,7 +45,6 @@ package client
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -127,9 +126,8 @@ type Client struct {
 type connHandle struct {
 	conn net.Conn
 
-	wmu     sync.Mutex   // serialises appends to out and writes to conn
-	out     []byte       // encoded frames the last writer writes; keeps its capacity
-	writers atomic.Int32 // callers holding or waiting for wmu
+	wmu sync.Mutex // serialises encoding into out and writes to conn
+	out []byte     // the frame being written; keeps its capacity
 
 	mu      sync.Mutex
 	pending map[uint64]*call
@@ -153,9 +151,9 @@ var calls = sync.Pool{New: func() any {
 
 // request is a frame without its id, encoded anew for every attempt.
 type request struct {
-	typ     wire.Type
-	payload []byte
-	vals    []int // an EnqBatch's values, in place of payload
+	typ  wire.Type
+	arg  int   // an Enq's value or a DeqBatch's count
+	vals []int // an EnqBatch's values
 }
 
 // New returns a Client for cfg; the first operation dials.
@@ -360,11 +358,8 @@ func (h *connHandle) register() (*call, uint64, error) {
 	return cl, h.nextID, nil
 }
 
-// send encodes req into the write buffer. Only the last of the callers
-// writing or waiting to write writes it to the connection; the others'
-// frames ride along.
+// send encodes req into the write buffer and writes it to the connection.
 func (h *connHandle) send(req *request, id uint64, timeout time.Duration) error {
-	h.writers.Add(1)
 	h.wmu.Lock()
 	defer h.wmu.Unlock()
 	// OpTimeout bounds the write too, not just the response wait: a
@@ -373,16 +368,17 @@ func (h *connHandle) send(req *request, id uint64, timeout time.Duration) error 
 	if timeout > 0 {
 		h.conn.SetWriteDeadline(time.Now().Add(timeout))
 	}
-	if req.typ == wire.EnqBatch {
-		h.out = wire.AppendValuesFrame(h.out, req.typ, id, req.vals)
-	} else {
-		h.out = wire.AppendFrame(h.out, req.typ, id, req.payload...)
-	}
-	if h.writers.Add(-1) > 0 {
-		return nil
+	switch req.typ {
+	case wire.Enq:
+		h.out = wire.AppendValueFrame(h.out[:0], req.typ, id, int64(req.arg))
+	case wire.EnqBatch:
+		h.out = wire.AppendValuesFrame(h.out[:0], req.typ, id, req.vals)
+	case wire.DeqBatch:
+		h.out = wire.AppendCountFrame(h.out[:0], req.typ, id, req.arg)
+	default:
+		h.out = wire.AppendFrame(h.out[:0], req.typ, id)
 	}
 	_, err := h.conn.Write(h.out)
-	h.out = h.out[:0]
 	return err
 }
 
@@ -497,8 +493,7 @@ func (c *Client) TryEnqueue(v int) (bool, error) {
 
 // enqueue makes one ENQ round trip: acceptance, or a RETRY's hint.
 func (c *Client) enqueue(v int) (ok bool, hint time.Duration, err error) {
-	var p [8]byte
-	err = c.roundTrip(request{typ: wire.Enq, payload: binary.BigEndian.AppendUint64(p[:0], uint64(v))}, func(resp wire.Frame) (err error) {
+	err = c.roundTrip(request{typ: wire.Enq, arg: v}, func(resp wire.Frame) (err error) {
 		if ok = resp.Type == wire.Ack; !ok {
 			hint, err = retryHint(resp)
 		}
@@ -575,8 +570,7 @@ func (c *Client) DequeueBatch(dst []int) (n int, err error) {
 		return 0, nil
 	}
 	max := min(len(dst), wire.MaxBatch)
-	var p [4]byte
-	err = c.roundTrip(request{typ: wire.DeqBatch, payload: binary.BigEndian.AppendUint32(p[:0], uint32(max))}, func(resp wire.Frame) error {
+	err = c.roundTrip(request{typ: wire.DeqBatch, arg: max}, func(resp wire.Frame) error {
 		switch resp.Type {
 		case wire.Values:
 			// Capped at max: an oversized reply reallocates, not overruns.

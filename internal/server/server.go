@@ -40,7 +40,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -360,7 +359,6 @@ type connState struct {
 // since a failed write may have buffered or half-sent the frame. fatal
 // reports a protocol error: the connection closes after the response.
 func (s *Server) handle(c *connState, f wire.Frame, b []byte) (resp []byte, fatal bool) {
-	var p [8]byte // a fixed-size response payload
 	var err error
 	u := len(c.unflushed)
 	switch f.Type {
@@ -391,7 +389,7 @@ func (s *Server) handle(c *connState, f wire.Frame, b []byte) (resp []byte, fata
 		if f.Type == wire.Enq {
 			return wire.AppendFrame(b, wire.Ack, f.ID), false
 		}
-		return wire.AppendFrame(b, wire.Ack, f.ID, binary.BigEndian.AppendUint32(p[:0], uint32(n))...), false
+		return wire.AppendCountFrame(b, wire.Ack, f.ID, n), false
 
 	case wire.Deq, wire.DeqBatch:
 		max := 1
@@ -405,7 +403,7 @@ func (s *Server) handle(c *connState, f wire.Frame, b []byte) (resp []byte, fata
 		case len(vs) == 0:
 			return wire.AppendFrame(b, wire.Empty, f.ID), false
 		case f.Type == wire.Deq:
-			return wire.AppendFrame(b, wire.Value, f.ID, binary.BigEndian.AppendUint64(p[:0], uint64(vs[0]))...), false
+			return wire.AppendValueFrame(b, wire.Value, f.ID, int64(vs[0])), false
 		default:
 			return wire.AppendValuesFrame(b, wire.Values, f.ID, vs), false
 		}
@@ -504,12 +502,12 @@ func (s *Server) dequeue(dst []int, max int) []int {
 			break
 		}
 	}
-	if got == 0 {
+	if got > 0 {
+		s.observe(metrics.Dequeue, start)
+	} else {
 		s.empties.Add(1)
 		s.cfg.Probe.Add(metrics.WireEmpty, 1)
-		return dst
 	}
-	s.observe(metrics.Dequeue, start)
 	return dst
 }
 

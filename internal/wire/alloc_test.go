@@ -9,7 +9,7 @@ import (
 )
 
 // TestAppendDecodeAllocatesNothing pins the in-place codec: each hot frame
-// kind, encoded by AppendFrame or AppendValuesFrame into a reused buffer,
+// kind, encoded by AppendValueFrame or AppendValuesFrame into a reused buffer,
 // read back by Read into another and its payload decoded (batches into a
 // reused []int), allocates nothing.
 func TestAppendDecodeAllocatesNothing(t *testing.T) {
@@ -26,8 +26,8 @@ func TestAppendDecodeAllocatesNothing(t *testing.T) {
 		encode func(b []byte) []byte
 		decode func(dst []int, p []byte) ([]int, error)
 	}{
-		{"ENQ", func(b []byte) []byte { return AppendFrame(b, Enq, 1, 0, 0, 0, 0, 0, 0, 0, 42) }, decodeValue},
-		{"VALUE", func(b []byte) []byte { return AppendFrame(b, Value, 2, 0, 0, 0, 0, 0, 0, 0, 42) }, decodeValue},
+		{"ENQ", func(b []byte) []byte { return AppendValueFrame(b, Enq, 1, 42) }, decodeValue},
+		{"VALUE", func(b []byte) []byte { return AppendValueFrame(b, Value, 2, -42) }, decodeValue},
 		{"ENQ_BATCH", func(b []byte) []byte { return AppendValuesFrame(b, EnqBatch, 3, vals) }, DecodeInts},
 		{"VALUES", func(b []byte) []byte { return AppendValuesFrame(b, Values, 4, vals) }, DecodeInts},
 	} {

@@ -203,6 +203,16 @@ func AppendFrame(dst []byte, t Type, id uint64, payload ...byte) []byte {
 	return sealFrame(append(openFrame(dst, t, id), payload...), len(dst))
 }
 
+// AppendValueFrame is AppendFrame for an Enq or Value frame carrying v.
+func AppendValueFrame(dst []byte, t Type, id uint64, v int64) []byte {
+	return sealFrame(binary.BigEndian.AppendUint64(openFrame(dst, t, id), uint64(v)), len(dst))
+}
+
+// AppendCountFrame is AppendFrame for a DeqBatch or a batch Ack carrying n.
+func AppendCountFrame(dst []byte, t Type, id uint64, n int) []byte {
+	return sealFrame(appendCount(openFrame(dst, t, id), n), len(dst))
+}
+
 // AppendValuesFrame is AppendFrame for an EnqBatch or Values frame,
 // encoding its counted list straight from vs (at most MaxBatch values).
 func AppendValuesFrame(dst []byte, t Type, id uint64, vs []int) []byte {
@@ -394,10 +404,8 @@ func EmptyFrame(id uint64) Frame { return Frame{Type: Empty, ID: id} }
 
 // RetryFrame refuses an enqueue with a reason and a backoff hint.
 func RetryFrame(id uint64, reason RetryReason, hint time.Duration) Frame {
-	p := make([]byte, 9)
-	p[0] = byte(reason)
-	binary.BigEndian.PutUint64(p[1:], uint64(hint))
-	return Frame{Type: Retry, ID: id, Payload: p}
+	p := append(make([]byte, 0, 9), byte(reason))
+	return Frame{Type: Retry, ID: id, Payload: binary.BigEndian.AppendUint64(p, uint64(hint))}
 }
 
 // PongFrame answers a Ping.

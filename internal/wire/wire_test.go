@@ -59,6 +59,30 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendersMatchConstructors pins the typed appenders to the layouts
+// the frame constructors define: each encodes the bytes Write does.
+func TestAppendersMatchConstructors(t *testing.T) {
+	for _, tc := range []struct {
+		got  []byte
+		want Frame
+	}{
+		{AppendValueFrame(nil, Enq, 1, -7), EnqFrame(1, -7)},
+		{AppendValueFrame([]byte("prefix"), Value, 2, 1<<40), ValueFrame(2, 1<<40)},
+		{AppendCountFrame(nil, DeqBatch, 3, 128), DeqBatchFrame(3, 128)},
+		{AppendCountFrame(nil, Ack, 4, 3), AckCountFrame(4, 3)},
+		{AppendValuesFrame(nil, EnqBatch, 5, []int{1, -2, 3}), EnqBatchFrame(5, []int64{1, -2, 3})},
+		{AppendValuesFrame(nil, Values, 6, nil), ValuesFrame(6, nil)},
+	} {
+		var want bytes.Buffer
+		if err := Write(&want, tc.want); err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.TrimPrefix(tc.got, []byte("prefix")); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%v id=%d: appended %x, Write encodes %x", tc.want.Type, tc.want.ID, got, want.Bytes())
+		}
+	}
+}
+
 func TestPayloadDecoders(t *testing.T) {
 	if v, err := DecodeValue(EnqFrame(1, -99).Payload); err != nil || v != -99 {
 		t.Fatalf("DecodeValue = %d, %v; want -99, nil", v, err)
