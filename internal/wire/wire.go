@@ -205,7 +205,7 @@ func AppendFrame(dst []byte, t Type, id uint64, payload ...byte) []byte {
 
 // AppendValueFrame is AppendFrame for an Enq or Value frame carrying v.
 func AppendValueFrame(dst []byte, t Type, id uint64, v int64) []byte {
-	return sealFrame(binary.BigEndian.AppendUint64(openFrame(dst, t, id), uint64(v)), len(dst))
+	return sealFrame(appendValue(openFrame(dst, t, id), v), len(dst))
 }
 
 // AppendCountFrame is AppendFrame for a DeqBatch or a batch Ack carrying n.
@@ -358,7 +358,7 @@ func DecodeRetry(p []byte) (RetryReason, time.Duration, error) {
 
 // EnqFrame builds an Enq request.
 func EnqFrame(id uint64, v int64) Frame {
-	return Frame{Type: Enq, ID: id, Payload: binary.BigEndian.AppendUint64(nil, uint64(v))}
+	return Frame{Type: Enq, ID: id, Payload: appendValue(nil, v)}
 }
 
 // DeqFrame builds a Deq request.
@@ -391,7 +391,7 @@ func AckCountFrame(id uint64, n int) Frame {
 
 // ValueFrame answers a Deq with v.
 func ValueFrame(id uint64, v int64) Frame {
-	return Frame{Type: Value, ID: id, Payload: binary.BigEndian.AppendUint64(nil, uint64(v))}
+	return Frame{Type: Value, ID: id, Payload: appendValue(nil, v)}
 }
 
 // ValuesFrame answers a DeqBatch with vs.
@@ -404,8 +404,7 @@ func EmptyFrame(id uint64) Frame { return Frame{Type: Empty, ID: id} }
 
 // RetryFrame refuses an enqueue with a reason and a backoff hint.
 func RetryFrame(id uint64, reason RetryReason, hint time.Duration) Frame {
-	p := append(make([]byte, 0, 9), byte(reason))
-	return Frame{Type: Retry, ID: id, Payload: binary.BigEndian.AppendUint64(p, uint64(hint))}
+	return Frame{Type: Retry, ID: id, Payload: binary.BigEndian.AppendUint64(append(make([]byte, 0, 9), byte(reason)), uint64(hint))}
 }
 
 // PongFrame answers a Ping.
@@ -424,17 +423,18 @@ func StatsReplyFrame(id uint64, c Counters) Frame {
 	return Frame{Type: StatsReply, ID: id, Payload: c.append(nil)}
 }
 
+// The one encoding of each payload, for the constructors and the appenders.
 func appendValues[T int | int64](p []byte, vs []T) []byte {
 	p = appendCount(p, len(vs))
 	for _, v := range vs {
-		p = binary.BigEndian.AppendUint64(p, uint64(v))
+		p = appendValue(p, int64(v))
 	}
 	return p
 }
 
-func appendCount(p []byte, n int) []byte {
-	return binary.BigEndian.AppendUint32(p, uint32(n))
-}
+func appendValue(p []byte, v int64) []byte { return binary.BigEndian.AppendUint64(p, uint64(v)) }
+
+func appendCount(p []byte, n int) []byte { return binary.BigEndian.AppendUint32(p, uint32(n)) }
 
 // Counters is the server-side tally carried by a StatsReply: how the wire
 // paths have been exercised since the server started. All element counts
